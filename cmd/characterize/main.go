@@ -51,9 +51,9 @@ func main() {
 		mcTol       = flag.Float64("mc-tol", 0, "adaptive Monte-Carlo tolerance: stop a grid point once the delay mean and sigma 95% CI half-widths fall below this fraction of the mean delay (0 = draw the full sample budget)")
 		mcFloor     = flag.Int("mc-floor", 0, "minimum adaptive Monte-Carlo samples before convergence is tested (0 = default 64; ignored without -mc-tol)")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-		cpuProfile  = outFlag("cpu-profile-out", "cpuprofile", "write a CPU profile to this file")
-		memProfile  = outFlag("mem-profile-out", "memprofile", "write a heap profile to this file at exit")
-		benchJSON   = outFlag("bench-out", "bench-json", "write phase wall times and allocation totals as JSON to this file")
+		cpuProfile  = flag.String("cpu-profile-out", "", "write a CPU profile to this file")
+		memProfile  = flag.String("mem-profile-out", "", "write a heap profile to this file at exit")
+		benchJSON   = flag.String("bench-out", "", "write phase wall times and allocation totals as JSON to this file")
 		maxArcs     = flag.Int("max-arcs", 0, "stop after this many newly fitted arcs (0 = all; skips wire calibration, keeps the checkpoint resumable)")
 		traceFlag   = flag.String("trace-out", "", "record spans and write a Chrome trace_event JSON file here at exit")
 		metricsFlag = flag.String("metrics-out", "", "write the final Prometheus metrics exposition to this file at exit")
@@ -225,10 +225,4 @@ func exit(code int) {
 	}
 	flushObs()
 	os.Exit(code)
-}
-
-// outFlag registers an output-file flag under its canonical -<thing>-out name
-// plus its pre-v1 alias.
-func outFlag(canonical, deprecated, usage string) *string {
-	return obs.RegisterOutFlag(flag.CommandLine, canonical, deprecated, usage)
 }

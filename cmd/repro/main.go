@@ -35,9 +35,9 @@ func main() {
 		csvDir      = flag.String("csv", "", "also write table2/table3/fig10 results as CSV into this directory")
 		seed        = flag.Uint64("seed", 1, "master random seed")
 		quiet       = flag.Bool("q", false, "suppress progress logging")
-		cpuProfile  = outFlag("cpu-profile-out", "cpuprofile", "write a CPU profile to this file")
-		memProfile  = outFlag("mem-profile-out", "memprofile", "write a heap profile to this file at exit")
-		benchJSON   = outFlag("bench-out", "bench-json", "write per-table/figure wall times and allocation totals as JSON to this file")
+		cpuProfile  = flag.String("cpu-profile-out", "", "write a CPU profile to this file")
+		memProfile  = flag.String("mem-profile-out", "", "write a heap profile to this file at exit")
+		benchJSON   = flag.String("bench-out", "", "write per-table/figure wall times and allocation totals as JSON to this file")
 	)
 	logOpts := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -184,10 +184,4 @@ func fatal(err error) {
 		fmt.Fprintln(os.Stderr, "repro:", serr)
 	}
 	os.Exit(1)
-}
-
-// outFlag registers an output-file flag under its canonical -<thing>-out name
-// plus its pre-v1 alias.
-func outFlag(canonical, deprecated, usage string) *string {
-	return obs.RegisterOutFlag(flag.CommandLine, canonical, deprecated, usage)
 }

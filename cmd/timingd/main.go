@@ -21,8 +21,9 @@
 //	curl localhost:8080/v1/readyz
 //	curl localhost:8080/metrics
 //
-// Pre-v1 routes (without the /v1 prefix) still work but answer with RFC 8594
-// Deprecation headers; see API.md for the full surface and error envelope.
+// Resource routes live under /v1 only; a path without the prefix answers a
+// JSON 404 "unknown_route". See API.md for the full surface and error
+// envelope.
 //
 // Durability: -data-dir gives every design a write-ahead log plus periodic
 // snapshots and replays them on startup, so acknowledged edits survive

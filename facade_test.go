@@ -96,8 +96,7 @@ func TestFacadeHelpers(t *testing.T) {
 
 // TestFacadeV1Constructors exercises the redesigned context-first
 // constructors: functional options, multi-corner batched analysis, the
-// incremental engine, typed-error surfacing, and the deprecated legacy
-// shapes staying equivalent.
+// incremental engine and typed-error surfacing.
 func TestFacadeV1Constructors(t *testing.T) {
 	ctx := context.Background()
 	lib := libsynth.File()
@@ -136,21 +135,9 @@ func TestFacadeV1Constructors(t *testing.T) {
 		t.Fatal("cap-derated corner should be slower")
 	}
 
-	// The deprecated legacy shape must return an equivalent timer.
-	legacy, err := NewTimerLegacy(lib, nl, trees, STAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, err := timer.Analyze()
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := legacy.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ArrivalQ[0] != b.ArrivalQ[0] {
-		t.Fatalf("legacy timer diverges: %v vs %v", b.ArrivalQ[0], a.ArrivalQ[0])
 	}
 
 	// Incremental engine through the new constructor, with a typed edit

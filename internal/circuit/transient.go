@@ -125,7 +125,7 @@ func (c *Circuit) TransientCached(cache *SolverCache, opts SimOptions) (*Result,
 	flat := make([]float64, nrec*nsteps)
 	for n := 1; n <= nrec; n++ {
 		off := (n - 1) * nsteps
-		res.vByNode[n] = flat[off:off : off+nsteps]
+		res.vByNode[n] = flat[off : off : off+nsteps]
 	}
 
 	if err := s.dcOperatingPoint(&opts); err != nil {

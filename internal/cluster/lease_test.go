@@ -96,8 +96,8 @@ func TestLeaseTableOnChange(t *testing.T) {
 	lt := NewLeaseTable()
 	calls := 0
 	lt.OnChange(func() { calls++ })
-	lt.Promise("d", 1)  // fires
-	lt.Promise("d", 1)  // no-op, must not fire
+	lt.Promise("d", 1) // fires
+	lt.Promise("d", 1) // no-op, must not fire
 	lt.Adopt("d", "a", 1)
 	lt.Adopt("d", "b", 1) // refused, must not fire
 	lt.Forget("d")

@@ -98,8 +98,9 @@ func (s *Snapshot) ResultAt(ci int) (*sta.Result, error) {
 }
 
 // WorstPaths ranks the primary corner's endpoints by mean arrival (ties by
-// endpoint key) and backtracks the worst path of each of the k slowest —
-// identical to sta.AnalyzeTopPaths of the edited design.
+// endpoint key) and backtracks the worst path of each of the k slowest. It
+// runs sta.Graph.TopPathsFlat, the same top-k that Timer.AnalyzeTopPaths
+// runs, so a fresh analysis of the edited design returns the same paths.
 func (s *Snapshot) WorstPaths(k int) ([]*sta.Path, error) {
 	return s.graph.TopPathsFlat(s.flat[0], s.corners[0], s.results[0], k)
 }

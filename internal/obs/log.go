@@ -50,16 +50,6 @@ func RegisterLogFlags(fs *flag.FlagSet) *LogOptions {
 	return o
 }
 
-// RegisterOutFlag binds an output-file flag under its canonical "-<thing>-out"
-// name plus a deprecated alias kept for old scripts. Both write the same
-// variable; when a command line passes both, the later one wins (standard
-// flag semantics).
-func RegisterOutFlag(fs *flag.FlagSet, canonical, deprecated, usage string) *string {
-	p := fs.String(canonical, "", usage)
-	fs.StringVar(p, deprecated, "", "deprecated alias for -"+canonical)
-	return p
-}
-
 // ParseLevel maps a flag string onto a slog.Level.
 func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {

@@ -24,7 +24,7 @@ func FuzzParseSPEF(f *testing.F) {
 		"*D_NET n 1\n*RES\n1 n:a n:b nope\n*END\n",
 		"*C_UNIT 1 PF\n",
 		"*R_UNIT 1 KOHM\n",
-		"*D_NET n 1\n*CAP\n1 n:a 2\n*END\n",                           // no root
+		"*D_NET n 1\n*CAP\n1 n:a 2\n*END\n", // no root
 		"*D_NET n 1\n*RES\n1 n:root n:a 10\n2 n:a n:root 10\n*END\n", // loop
 		"*D_NET n 1\n*RES\n1 n:root n:a -5\n*END\n",                  // negative R
 		"*D_NET n 1\n*CAP\n1 n:root 0.05\n*RES\n",                    // unterminated

@@ -33,8 +33,8 @@ type SampleFailure struct {
 	// Index is the sample index within its Monte-Carlo run.
 	Index int `json:"index"`
 	// Attempts is how many attempts were made before quarantining.
-	Attempts int   `json:"attempts"`
-	Class    Class `json:"class"`
+	Attempts int    `json:"attempts"`
+	Class    Class  `json:"class"`
 	Err      string `json:"err,omitempty"`
 }
 

@@ -185,10 +185,9 @@ func (s *Server) writeStaleEpoch(w http.ResponseWriter, design string, li cluste
 // --- cluster-aware router ---
 
 // designPathName extracts the design name from a design-scoped path
-// (/designs/{name}[/...] or /v1/designs/{name}[/...]).
+// (/v1/designs/{name}[/...]).
 func designPathName(path string) (string, bool) {
-	p := strings.TrimPrefix(path, "/v1")
-	rest, ok := strings.CutPrefix(p, "/designs/")
+	rest, ok := strings.CutPrefix(path, "/v1/designs/")
 	if !ok || rest == "" {
 		return "", false
 	}
@@ -210,7 +209,7 @@ func isReadRequest(r *http.Request) bool {
 }
 
 // routeCluster is the Handler entry point in cluster mode. Requests outside
-// /designs/{name} go straight to the local mux; design-scoped requests are
+// /v1/designs/{name} go straight to the local mux; design-scoped requests are
 // routed by lease first, ring second: a design this node owns (loaded, not
 // fenced) is served locally, reads on a held replica copy are served from
 // it, and everything else is forwarded to the lease owner — falling back to
@@ -270,8 +269,7 @@ func (s *Server) replica(name string) *replicaState {
 // and the replicated edit sequence reported as the payload version.
 func (s *Server) serveReplica(w http.ResponseWriter, r *http.Request, name string) {
 	t0 := time.Now()
-	p := strings.TrimPrefix(r.URL.Path, "/v1")
-	sub := strings.TrimPrefix(p, "/designs/")
+	sub := strings.TrimPrefix(r.URL.Path, "/v1/designs/")
 	if i := strings.IndexByte(sub, '/'); i >= 0 {
 		sub = sub[i:]
 	} else {
@@ -1731,65 +1729,6 @@ func (s *Server) broadcastMembers() {
 }
 
 // --- introspection ---
-
-// clusterDesign is one design row of the GET /v1/cluster payload.
-type clusterDesign struct {
-	Name   string `json:"name"`
-	Role   string `json:"role"` // "owner" or "replica"
-	Seq    uint64 `json:"seq,omitempty"`
-	Epoch  uint64 `json:"epoch,omitempty"`
-	Fenced bool   `json:"fenced,omitempty"`
-	Owner  string `json:"owner,omitempty"` // replicas: who ships to us
-}
-
-// handleClusterStatus reports this node's membership view: peer health,
-// breaker states, and the designs it owns or replicates. Deprecated in
-// favour of GET /v1/cluster/members and GET /v1/cluster/designs/{name}.
-func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	owned := make([]*design, 0, len(s.designs))
-	for _, d := range s.designs {
-		owned = append(owned, d)
-	}
-	s.mu.Unlock()
-	designs := make([]clusterDesign, 0, len(owned))
-	for _, d := range owned {
-		designs = append(designs, clusterDesign{
-			Name: d.name, Role: "owner",
-			Seq: d.seq.Load(), Epoch: d.epoch.Load(), Fenced: d.fenced.Load(),
-		})
-	}
-	s.repMu.Lock()
-	for n, rep := range s.reps {
-		rep.mu.Lock()
-		designs = append(designs, clusterDesign{
-			Name: n, Role: "replica", Seq: rep.seq, Epoch: rep.epoch, Owner: rep.from,
-		})
-		rep.mu.Unlock()
-	}
-	s.repMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"self":    s.node.Self(),
-		"proxy":   s.node.Proxy(),
-		"peers":   s.node.Peers(),
-		"designs": designs,
-	})
-}
-
-// handleClusterRoute answers "which node owns ?design=<name>" by ring
-// placement. Deprecated in favour of GET /v1/cluster/designs/{name}, which
-// also reports the lease.
-func (s *Server) handleClusterRoute(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("design")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, codeInvalidRequest, "need ?design=<name>")
-		return
-	}
-	owner, replicas := s.node.Placement(name)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"design": name, "owner": owner, "replicas": replicas,
-	})
-}
 
 // handleClusterDesign is the resource-shaped design status: the adopted
 // lease (owner + epoch), the ring placement, this node's local role, and —

@@ -30,16 +30,6 @@ var routePatterns = []string{
 	"GET /v1/designs/{name}/slacks",
 	"POST /v1/designs/{name}/edits",
 	"POST /v1/designs/{name}/batch",
-	// Deprecated pre-v1 shims keep their own series so a dashboard can watch
-	// legacy traffic drain.
-	"GET /designs",
-	"PUT /designs/{name}",
-	"DELETE /designs/{name}",
-	"GET /designs/{name}",
-	"GET /designs/{name}/gates",
-	"GET /designs/{name}/paths",
-	"GET /designs/{name}/slacks",
-	"POST /designs/{name}/edits",
 	// Cluster mode: replication ingest, introspection, and the forwarding
 	// pseudo-routes (a forwarded request is counted by method, not by the
 	// owner-side pattern it resolves to).
@@ -49,8 +39,6 @@ var routePatterns = []string{
 	"POST /v1/internal/lease/adopt",
 	"POST /v1/internal/members",
 	"GET /v1/internal/health",
-	"GET /v1/cluster",
-	"GET /v1/cluster/route",
 	"GET /v1/cluster/members",
 	"POST /v1/cluster/members",
 	"DELETE /v1/cluster/members/{peer...}",

@@ -350,41 +350,21 @@ func TestClusterMembershipAdminAPI(t *testing.T) {
 	}
 }
 
-// TestClusterDeprecatedShims: the pre-lease cluster introspection routes
-// still answer, but carry RFC 8594 Deprecation headers pointing at their
-// resource-shaped successors.
-func TestClusterDeprecatedShims(t *testing.T) {
+// TestClusterDesignPlacement: the per-design cluster resource reports
+// lease and ring placement even for a design that is not loaded anywhere.
+func TestClusterDesignPlacement(t *testing.T) {
 	nodes := newTestCluster(t, 3, true)
-	shims := map[string]string{
-		"/v1/cluster":                   "/v1/cluster/members",
-		"/v1/cluster/route?design=shim": "/v1/cluster/designs/{name}",
-	}
-	for path, successor := range shims {
-		resp := noRedirect(t, http.MethodGet, nodes[0].url+path, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
-		}
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Fatalf("GET %s Deprecation = %q, want \"true\"", path, dep)
-		}
-		if link := resp.Header.Get("Link"); !bytes.Contains([]byte(link), []byte(successor)) {
-			t.Fatalf("GET %s Link = %q, want successor %q", path, link, successor)
-		}
-	}
-
-	// The successor resource reports lease and ring placement even for a
-	// design that is not loaded anywhere.
 	var ds struct {
 		Design string `json:"design"`
 		Ring   struct {
 			Owner string `json:"owner"`
 		} `json:"ring"`
 	}
-	if code, raw := do(t, http.MethodGet, nodes[0].url+"/v1/cluster/designs/shim", nil, &ds); code != http.StatusOK {
+	if code, raw := do(t, http.MethodGet, nodes[0].url+"/v1/cluster/designs/unloaded", nil, &ds); code != http.StatusOK {
 		t.Fatalf("GET cluster design = %d: %s", code, raw)
 	}
-	if ds.Design != "shim" || ds.Ring.Owner == "" {
-		t.Fatalf("cluster design = %+v, want a ring owner for %q", ds, "shim")
+	if ds.Design != "unloaded" || ds.Ring.Owner == "" {
+		t.Fatalf("cluster design = %+v, want a ring owner for %q", ds, "unloaded")
 	}
 }
 

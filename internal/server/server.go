@@ -244,7 +244,6 @@ func New(lib *timinglib.File, opts ...Option) *Server {
 		// Cluster introspection answers during recovery too, so peers and
 		// operators can inspect a recovering node's ring view. The heartbeat
 		// target must answer ungated or a recovering node would be ejected.
-		"GET /v1/cluster": true, "GET /v1/cluster/route": true,
 		"GET /v1/cluster/members": true, "GET /v1/cluster/designs/{name}": true,
 		"GET /v1/internal/health": true,
 		// Debug introspection: what made a recovering node slow matters too.
@@ -269,23 +268,6 @@ func New(lib *timinglib.File, opts ...Option) *Server {
 			s.met.observe(r, pattern, t0)
 		})
 	}
-	// legacy wraps a v1 handler for its pre-v1 route: same behaviour, plus
-	// RFC 8594 deprecation headers pointing at the successor. A header shim
-	// (rather than a redirect) keeps PUT/POST bodies working for old
-	// clients, who migrate on their own schedule.
-	legacy := func(h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=%q", r.URL.Path, "successor-version"))
-			h(w, r)
-		}
-	}
-	// api registers a resource route twice: under /v1 (canonical) and at the
-	// bare path (deprecated shim). Each gets its own metrics label.
-	api := func(method, path string, h func(http.ResponseWriter, *http.Request)) {
-		route(method+" /v1"+path, h)
-		route(method+" "+path, legacy(h))
-	}
 	// Infra endpoints stay unversioned; /v1 aliases serve probers that only
 	// speak the versioned prefix.
 	route("GET /healthz", s.handleHealth)
@@ -293,15 +275,14 @@ func New(lib *timinglib.File, opts ...Option) *Server {
 	route("GET /v1/readyz", s.handleReady)
 	route("GET /metrics", s.handleMetrics)
 	route("GET /v1/debug/slow", s.handleSlow)
-	api("GET", "/designs", s.handleList)
-	api("PUT", "/designs/{name}", s.handleLoad)
-	api("DELETE", "/designs/{name}", s.handleDelete)
-	api("GET", "/designs/{name}", s.admitted(s.handleSummary))
-	api("GET", "/designs/{name}/gates", s.admitted(s.handleGates))
-	api("GET", "/designs/{name}/paths", s.admitted(s.handlePaths))
-	api("GET", "/designs/{name}/slacks", s.admitted(s.handleSlacks))
-	api("POST", "/designs/{name}/edits", s.handleEdit)
-	// Batch is v1-only: many queries against one pinned snapshot.
+	route("GET /v1/designs", s.handleList)
+	route("PUT /v1/designs/{name}", s.handleLoad)
+	route("DELETE /v1/designs/{name}", s.handleDelete)
+	route("GET /v1/designs/{name}", s.admitted(s.handleSummary))
+	route("GET /v1/designs/{name}/gates", s.admitted(s.handleGates))
+	route("GET /v1/designs/{name}/paths", s.admitted(s.handlePaths))
+	route("GET /v1/designs/{name}/slacks", s.admitted(s.handleSlacks))
+	route("POST /v1/designs/{name}/edits", s.handleEdit)
 	route("POST /v1/designs/{name}/batch", s.handleBatch)
 	// Cluster routes exist only when a cluster node is attached. The
 	// /v1/internal/ surface is the versioned cluster-internal contract
@@ -320,16 +301,6 @@ func New(lib *timinglib.File, opts ...Option) *Server {
 		route("POST /v1/cluster/members", s.handleMembersAdd)
 		route("DELETE /v1/cluster/members/{peer...}", s.handleMembersRemove)
 		route("GET /v1/cluster/designs/{name}", s.handleClusterDesign)
-		// Deprecated aliases (RFC 8594 headers point at their successors).
-		deprecated := func(successor string, h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
-			return func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-				h(w, r)
-			}
-		}
-		route("GET /v1/cluster", deprecated("/v1/cluster/members", s.handleClusterStatus))
-		route("GET /v1/cluster/route", deprecated("/v1/cluster/designs/{name}", s.handleClusterRoute))
 	}
 	// Catch-all for unregistered paths: a JSON 404, counted under the
 	// bounded "other" series instead of minting a label per probed URL.

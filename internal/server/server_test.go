@@ -77,7 +77,7 @@ func do(t *testing.T, method, url string, body any, out any) (int, string) {
 func loadC17(t *testing.T, ts *httptest.Server) DesignSummary {
 	t.Helper()
 	var sum DesignSummary
-	code, raw := do(t, http.MethodPut, ts.URL+"/designs/c17", LoadRequest{Bench: c17Bench}, &sum)
+	code, raw := do(t, http.MethodPut, ts.URL+"/v1/designs/c17", LoadRequest{Bench: c17Bench}, &sum)
 	if code != http.StatusCreated {
 		t.Fatalf("load c17: status %d: %s", code, raw)
 	}
@@ -89,7 +89,7 @@ func gateNames(t *testing.T, ts *httptest.Server, design string) []GateInfo {
 	var resp struct {
 		Gates []GateInfo `json:"gates"`
 	}
-	code, raw := do(t, http.MethodGet, ts.URL+"/designs/"+design+"/gates", nil, &resp)
+	code, raw := do(t, http.MethodGet, ts.URL+"/v1/designs/"+design+"/gates", nil, &resp)
 	if code != http.StatusOK || len(resp.Gates) == 0 {
 		t.Fatalf("gates: status %d: %s", code, raw)
 	}
@@ -111,7 +111,7 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 		Version uint64        `json:"version"`
 		Paths   []PathSummary `json:"paths"`
 	}
-	code, raw := do(t, http.MethodGet, ts.URL+"/designs/c17/paths?k=3", nil, &paths)
+	code, raw := do(t, http.MethodGet, ts.URL+"/v1/designs/c17/paths?k=3", nil, &paths)
 	if code != http.StatusOK || len(paths.Paths) == 0 {
 		t.Fatalf("paths: status %d: %s", code, raw)
 	}
@@ -122,7 +122,7 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 
 	gates := gateNames(t, ts, "c17")
 	var edit EditResponse
-	code, raw = do(t, http.MethodPost, ts.URL+"/designs/c17/edits",
+	code, raw = do(t, http.MethodPost, ts.URL+"/v1/designs/c17/edits",
 		EditRequest{Op: "resize", Gate: gates[0].Name, Strength: 8}, &edit)
 	if code != http.StatusOK {
 		t.Fatalf("resize: status %d: %s", code, raw)
@@ -135,7 +135,7 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 		WNSPs    float64            `json:"wns_ps"`
 		SlacksPs map[string]float64 `json:"slacks_ps"`
 	}
-	code, raw = do(t, http.MethodGet, ts.URL+"/designs/c17/slacks?period_ps=2000&level=3", nil, &slacks)
+	code, raw = do(t, http.MethodGet, ts.URL+"/v1/designs/c17/slacks?period_ps=2000&level=3", nil, &slacks)
 	if code != http.StatusOK || len(slacks.SlacksPs) == 0 {
 		t.Fatalf("slacks: status %d: %s", code, raw)
 	}
@@ -156,8 +156,8 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 		// The request metrics live on the process-wide obs registry, so the
 		// counts accumulate across tests: assert the series exist, not their
 		// exact values.
-		`timingd_requests_total{route="POST /designs/{name}/edits"}`,
-		`timingd_request_seconds_count{route="GET /designs/{name}/slacks"}`,
+		`timingd_requests_total{route="POST /v1/designs/{name}/edits"}`,
+		`timingd_request_seconds_count{route="GET /v1/designs/{name}/slacks"}`,
 		"timingd_designs 1",
 	} {
 		if !strings.Contains(raw, want) {
@@ -165,10 +165,10 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 		}
 	}
 
-	if code, _ = do(t, http.MethodDelete, ts.URL+"/designs/c17", nil, nil); code != http.StatusOK {
+	if code, _ = do(t, http.MethodDelete, ts.URL+"/v1/designs/c17", nil, nil); code != http.StatusOK {
 		t.Fatalf("delete: status %d", code)
 	}
-	if code, _ = do(t, http.MethodGet, ts.URL+"/designs/c17", nil, nil); code != http.StatusNotFound {
+	if code, _ = do(t, http.MethodGet, ts.URL+"/v1/designs/c17", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("summary after delete: status %d, want 404", code)
 	}
 }
@@ -176,7 +176,7 @@ func TestLoadQueryEditLifecycle(t *testing.T) {
 func TestLoadBuiltinCircuit(t *testing.T) {
 	_, ts := newTestServer(t)
 	var sum DesignSummary
-	code, raw := do(t, http.MethodPut, ts.URL+"/designs/adder", LoadRequest{Circuit: "ADD"}, &sum)
+	code, raw := do(t, http.MethodPut, ts.URL+"/v1/designs/adder", LoadRequest{Circuit: "ADD"}, &sum)
 	if code != http.StatusCreated {
 		t.Fatalf("load ADD: status %d: %s", code, raw)
 	}
@@ -196,16 +196,16 @@ func TestRequestValidation(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"load both sources", http.MethodPut, "/designs/x", LoadRequest{Circuit: "ADD", Bench: c17Bench}, http.StatusBadRequest},
-		{"load no source", http.MethodPut, "/designs/x", LoadRequest{}, http.StatusBadRequest},
-		{"load unknown circuit", http.MethodPut, "/designs/x", LoadRequest{Circuit: "zz9"}, http.StatusBadRequest},
-		{"duplicate load", http.MethodPut, "/designs/c17", LoadRequest{Bench: c17Bench}, http.StatusConflict},
-		{"query missing design", http.MethodGet, "/designs/nope", nil, http.StatusNotFound},
-		{"paths bad k", http.MethodGet, "/designs/c17/paths?k=0", nil, http.StatusBadRequest},
-		{"slacks no period", http.MethodGet, "/designs/c17/slacks", nil, http.StatusBadRequest},
-		{"edit unknown op", http.MethodPost, "/designs/c17/edits", EditRequest{Op: "explode"}, http.StatusBadRequest},
-		{"edit unknown gate", http.MethodPost, "/designs/c17/edits", EditRequest{Op: "resize", Gate: "UX", Strength: 2}, http.StatusBadRequest},
-		{"edit bad slew", http.MethodPost, "/designs/c17/edits", EditRequest{Op: "set_input_slew", Net: "G1", SlewPs: -5}, http.StatusBadRequest},
+		{"load both sources", http.MethodPut, "/v1/designs/x", LoadRequest{Circuit: "ADD", Bench: c17Bench}, http.StatusBadRequest},
+		{"load no source", http.MethodPut, "/v1/designs/x", LoadRequest{}, http.StatusBadRequest},
+		{"load unknown circuit", http.MethodPut, "/v1/designs/x", LoadRequest{Circuit: "zz9"}, http.StatusBadRequest},
+		{"duplicate load", http.MethodPut, "/v1/designs/c17", LoadRequest{Bench: c17Bench}, http.StatusConflict},
+		{"query missing design", http.MethodGet, "/v1/designs/nope", nil, http.StatusNotFound},
+		{"paths bad k", http.MethodGet, "/v1/designs/c17/paths?k=0", nil, http.StatusBadRequest},
+		{"slacks no period", http.MethodGet, "/v1/designs/c17/slacks", nil, http.StatusBadRequest},
+		{"edit unknown op", http.MethodPost, "/v1/designs/c17/edits", EditRequest{Op: "explode"}, http.StatusBadRequest},
+		{"edit unknown gate", http.MethodPost, "/v1/designs/c17/edits", EditRequest{Op: "resize", Gate: "UX", Strength: 2}, http.StatusBadRequest},
+		{"edit bad slew", http.MethodPost, "/v1/designs/c17/edits", EditRequest{Op: "set_input_slew", Net: "G1", SlewPs: -5}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, raw := do(t, tc.method, ts.URL+tc.path, tc.body, nil)
@@ -236,11 +236,11 @@ func TestConcurrentQueriesWithEditStream(t *testing.T) {
 				var url string
 				switch j % 3 {
 				case 0:
-					url = ts.URL + "/designs/c17"
+					url = ts.URL + "/v1/designs/c17"
 				case 1:
-					url = ts.URL + "/designs/c17/paths?k=2"
+					url = ts.URL + "/v1/designs/c17/paths?k=2"
 				default:
-					url = ts.URL + "/designs/c17/slacks?period_ps=2000"
+					url = ts.URL + "/v1/designs/c17/slacks?period_ps=2000"
 				}
 				resp, err := http.Get(url)
 				if err != nil {
@@ -265,7 +265,7 @@ func TestConcurrentQueriesWithEditStream(t *testing.T) {
 			body, _ := json.Marshal(EditRequest{
 				Op: "resize", Gate: gates[j%len(gates)].Name, Strength: strengths[j%len(strengths)],
 			})
-			resp, err := http.Post(ts.URL+"/designs/c17/edits", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/designs/c17/edits", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
 				return
@@ -286,7 +286,7 @@ func TestConcurrentQueriesWithEditStream(t *testing.T) {
 	}
 
 	var sum DesignSummary
-	if code, raw := do(t, http.MethodGet, ts.URL+"/designs/c17", nil, &sum); code != http.StatusOK {
+	if code, raw := do(t, http.MethodGet, ts.URL+"/v1/designs/c17", nil, &sum); code != http.StatusOK {
 		t.Fatalf("final summary: status %d: %s", code, raw)
 	}
 	if sum.Stats.Edits != 50 || sum.Version != 51 {
@@ -303,16 +303,16 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var sum DesignSummary
-	if code, raw := do(t, http.MethodPut, ts.URL+"/designs/c17", LoadRequest{Bench: c17Bench}, &sum); code != http.StatusCreated {
+	if code, raw := do(t, http.MethodPut, ts.URL+"/v1/designs/c17", LoadRequest{Bench: c17Bench}, &sum); code != http.StatusCreated {
 		t.Fatalf("load: status %d: %s", code, raw)
 	}
 	s.Close()
-	code, _ := do(t, http.MethodPut, ts.URL+"/designs/d2", LoadRequest{Bench: c17Bench}, nil)
+	code, _ := do(t, http.MethodPut, ts.URL+"/v1/designs/d2", LoadRequest{Bench: c17Bench}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("load after close: status %d, want 503", code)
 	}
 	// The design registry is cleared on close, so queries and edits 404.
-	if code, _ = do(t, http.MethodPost, ts.URL+"/designs/c17/edits",
+	if code, _ = do(t, http.MethodPost, ts.URL+"/v1/designs/c17/edits",
 		EditRequest{Op: "resize", Gate: "U1", Strength: 2}, nil); code != http.StatusNotFound {
 		t.Fatalf("edit after close: status %d, want 404", code)
 	}

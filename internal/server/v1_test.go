@@ -58,10 +58,10 @@ func loadC17V1(t *testing.T, ts *httptest.Server, name string, req LoadRequest) 
 	return sum
 }
 
-// TestV1RoutesAndLegacyShims checks every resource resolves under /v1
-// without deprecation headers, and under the bare legacy path with RFC 8594
-// Deprecation + successor Link headers.
-func TestV1RoutesAndLegacyShims(t *testing.T) {
+// TestV1RoutesAndBarePathsUnknown checks every resource resolves under /v1
+// without deprecation headers, and that its bare pre-v1 path is an unknown
+// route: a JSON 404 with code "unknown_route".
+func TestV1RoutesAndBarePathsUnknown(t *testing.T) {
 	_, ts := newTestServer(t)
 	loadC17V1(t, ts, "c17", LoadRequest{})
 
@@ -89,16 +89,12 @@ func TestV1RoutesAndLegacyShims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s (legacy): status %d", p, resp.StatusCode)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s (bare): status %d, want 404: %s", p, resp.StatusCode, raw)
 		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("GET %s (legacy): missing Deprecation header", p)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/designs") ||
-			!strings.Contains(link, "successor-version") {
-			t.Fatalf("GET %s (legacy): bad successor Link header %q", p, link)
+		if code, _ := decodeEnvelope(t, raw); code != "unknown_route" {
+			t.Fatalf("GET %s (bare): error code %q, want unknown_route", p, code)
 		}
 	}
 }

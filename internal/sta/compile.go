@@ -18,13 +18,12 @@ import (
 // net/gate ids, CSR fanin/fanout index slices, precomputed sink leaves,
 // raw Elmore delays, wire-variability factors, pin caps and LUT handles —
 // and per-corner timing state lives in contiguous float64 planes
-// (FlatState) instead of the name-keyed map-of-structs StateMap. The
-// wavefront sweep becomes a linear scan over these arrays with zero
-// steady-state allocations; name-keyed Results are marshalled only at the
-// boundary (endpoints, critical paths). Every arithmetic step is the exact
-// sequence of the legacy EvalGateBatch, in the same order, so compiled
-// results are bit-identical to the legacy path (compile_test.go pins this
-// across circuits, corner sets and worker counts).
+// (FlatState). The wavefront sweep is a linear scan over these arrays with
+// zero steady-state allocations; name-keyed Results are marshalled only at
+// the boundary (endpoints, critical paths). The map-keyed engine this
+// replaced survives only as a test oracle in legacy_test.go: compile_test.go
+// requires every result, state and path to match it bit for bit across
+// circuits, corner sets and worker counts.
 //
 // The Graph is immutable during evaluation. The incremental engine mutates
 // it copy-on-write: CloneForEdit copies the derived arrays (cells, arcs,
@@ -66,7 +65,7 @@ type Graph struct {
 	posOf  []int32
 
 	// Fanin pins, CSR by gate: pin entries in sorted pin-name order (the
-	// deterministic visit order of the legacy eval). A pin entry id is the
+	// deterministic visit order of the eval loop). A pin entry id is the
 	// stable handle the winner bookkeeping stores.
 	pinOff     []int32
 	pinName    []string
@@ -136,10 +135,10 @@ func (g *Graph) LevelOf(gi int) int {
 
 // Compiled returns the timer's compiled graph, building it on first use
 // and memoizing it for the life of this (netlist, trees, options)
-// generation — WithTrees/WithNetlist/WithOptions copies compile afresh,
-// WithCorner copies share the cache. The returned graph is immutable;
-// concurrent analyses share it. Callers that will mutate the graph (the
-// incremental engine's copy-on-write edits) must Compile their own.
+// generation — a WithOptions copy compiles afresh. The returned graph is
+// immutable; concurrent analyses share it. Callers that will mutate the
+// graph (the incremental engine's copy-on-write edits) must Compile their
+// own.
 func (t *Timer) Compiled() (*Graph, error) {
 	t.compiled.mu.Lock()
 	defer t.compiled.mu.Unlock()
@@ -154,9 +153,8 @@ func (t *Timer) Compiled() (*Graph, error) {
 }
 
 // Compile lowers the timer's design into the flat evaluation form. The
-// structural work the legacy eval repeats per analysis — sink-leaf
-// resolution, raw Elmore delays, wire variability, arc lookups — runs once
-// here; anything that can fail (missing trees, leaves, arcs, wire
+// structural work of the eval loop — sink-leaf resolution, raw Elmore
+// delays, wire variability, arc lookups — runs once here; anything that can fail (missing trees, leaves, arcs, wire
 // coverage) fails at compile time instead of mid-propagation.
 func (t *Timer) Compile() (*Graph, error) {
 	order, err := t.nl.Levelize()
@@ -241,9 +239,7 @@ func (t *Timer) Compile() (*Graph, error) {
 	}
 
 	// Fanin pin entries (sorted pin order, matching t.pinsOf) and the
-	// fanout/PO CSR. Pin entry resolution mirrors the legacy sinkLeaf and
-	// xwFor lookups exactly, so the stored operands carry the same bits the
-	// legacy path recomputes per analysis.
+	// fanout/PO CSR, resolved through sinkLeaf, poLeaf and xwFor.
 	g.pinOff = make([]int32, ng+1)
 	for gi := 0; gi < ng; gi++ {
 		g.pinOff[gi+1] = g.pinOff[gi] + int32(len(t.pinsOf[gi]))
@@ -339,8 +335,8 @@ func (t *Timer) Compile() (*Graph, error) {
 		}
 	}
 
-	// Pad-driver arcs for the PI root-slew model (best-effort, like the
-	// legacy inputRootSlew fallbacks).
+	// Pad-driver arcs for the PI root-slew model (best-effort: a library
+	// without them falls back to the raw input slew, see PISlews).
 	if info, err := t.lib.Cell(t.opt.InputDriver); err == nil && len(info.Inputs) > 0 {
 		for _, e := range []waveform.Edge{waveform.Falling, waveform.Rising} {
 			if arc, err := t.lib.Arc(t.opt.InputDriver, info.Inputs[0], e.Opposite()); err == nil {
@@ -367,8 +363,7 @@ func (g *Graph) pinEntry(gi int, pin string) int {
 // FlatState is the propagated timing state of one corner stored as
 // contiguous planes indexed by dense net id and edge: arrival and winner
 // quantiles as [net][edge][level] float64 planes, scalars as [net][edge]
-// slices. It replaces the map-of-structs StateMap in the hot path; the
-// name-keyed view is materialised only at the boundary (StateMapOf).
+// slices.
 type FlatState struct {
 	nn, nlev int
 	arr      []float64 // [(net*2+edge)*nlev + levelIdx]
@@ -416,6 +411,14 @@ func (s *FlatState) Clone() *FlatState {
 		valid:  append([]bool(nil), s.valid...),
 	}
 	return cp
+}
+
+// EdgeIdx maps an edge to its state slot (falling = 0, rising = 1).
+func EdgeIdx(e waveform.Edge) int {
+	if e == waveform.Rising {
+		return 1
+	}
+	return 0
 }
 
 // Valid reports whether the (net, edge) slot holds propagated state.
@@ -475,7 +478,7 @@ func (g *Graph) CommitPI(st *FlatState, net int, slews [2]float64) {
 		st.winPin[si] = -1
 		st.slew[si] = slews[ei]
 		// Arrivals and quantiles stay zero; a PI slot only ever carries a
-		// root slew (legacy InputState semantics).
+		// root slew.
 		off := si * st.nlev
 		for li := 0; li < st.nlev; li++ {
 			st.arr[off+li] = 0
@@ -543,7 +546,7 @@ type GateOut struct {
 	winPin   []int32
 	valid    []bool
 	// Arcs counts the structurally timed cell arcs of the evaluation
-	// (corner-independent), matching the legacy arcs counter.
+	// (corner-independent): Result.GatesTimed sums them.
 	Arcs int
 }
 
@@ -565,13 +568,14 @@ func (g *Graph) NewGateOut(nc int) *GateOut {
 
 const ln9 = 2.1972245773362196
 
-// EvalGateInto evaluates one gate under every corner into out — the
-// compiled EvalGateBatch. The arithmetic per corner is exactly the legacy
-// sequence in the same order (wire transport, PERI slew, LUT moments,
-// Table-I quantiles, per-level max with the level-0 winner), so the buffered
-// result is bit-identical to the legacy map-based evaluation; only the
-// operand loads differ (array indexing instead of map lookups and lazy
-// structural resolution). It performs no allocations.
+// EvalGateInto evaluates one gate under every corner into out: for each
+// output edge it transports every input-pin arrival across the input wire
+// (wire quantile model + PERI slew degradation), adds the cell arc's
+// T_c(nσ) from the coefficients file, and keeps the per-level max with the
+// level-0 winner carrying the backtracking metadata. Input pins are visited
+// in sorted order, so ties resolve deterministically. The structural
+// operands are shared across corners; only the corner-marginal arithmetic
+// runs per corner. It performs no allocations.
 func (g *Graph) EvalGateInto(gi int, states []*FlatState, corners []Corner, sc *EvalScratch, out *GateOut) {
 	nc := len(corners)
 	nlev := len(g.levels)
@@ -579,7 +583,7 @@ func (g *Graph) EvalGateInto(gi int, states []*FlatState, corners []Corner, sc *
 	totalCap := g.totalCap[outNet]
 	pinLo, pinHi := int(g.pinOff[gi]), int(g.pinOff[gi+1])
 	out.Arcs = 0
-	for ei := 0; ei < 2; ei++ { // outEdge: falling, rising (legacy order)
+	for ei := 0; ei < 2; ei++ { // outEdge: falling, then rising
 		ie := 1 - ei // input edge = opposite
 		for ci := 0; ci < nc; ci++ {
 			out.valid[ei*nc+ci] = false
@@ -617,8 +621,8 @@ func (g *Graph) EvalGateInto(gi int, states []*FlatState, corners []Corner, sc *
 				for li, n := range g.levels {
 					q := arc.Quant.Quantile(moms, n)
 					sc.qs[li] = q
-					// Same association as the legacy per-pin step:
-					// (arrival + wire transport) + cell quantile.
+					// Fixed association, (arrival + wire transport) + cell
+					// quantile, so every driver gets the same bits.
 					sc.cand[li] = (arrIn[li] + (1+float64(n)*xw)*elmore) + q
 				}
 				oi := ei*nc + ci
@@ -736,9 +740,18 @@ func (g *Graph) OutMatches(gi int, states []*FlatState, out *GateOut, eps float6
 // ---------------------------------------------------------------------------
 // Boundary marshalling: endpoints, results, paths, state maps
 
+// EndpointEntry is one timed endpoint of a primary-output net: the
+// Result.EndpointArrivals key ("net/edge"), the edge, and the arrival
+// quantiles transported to the PO leaf.
+type EndpointEntry struct {
+	Key  string
+	Edge waveform.Edge
+	Arr  map[int]float64
+}
+
 // EndpointsForNet transports a primary-output net's root state to each of
-// its PO leaves under one corner, in the legacy deterministic order (sink
-// index, then falling before rising).
+// its PO leaves under one corner, in a deterministic order (sink index,
+// then falling before rising).
 func (g *Graph) EndpointsForNet(po int, st *FlatState, c Corner) []EndpointEntry {
 	var entries []EndpointEntry
 	for k := int(g.poOff[po]); k < int(g.poOff[po+1]); k++ {
@@ -765,9 +778,9 @@ func (g *Graph) EndpointsForNet(po int, st *FlatState, c Corner) []EndpointEntry
 }
 
 // ResultFromFlat assembles a Result from flat state and per-net endpoint
-// entries: critical-endpoint selection exactly as the legacy ResultFrom
-// (primary outputs in declaration order, strict level-0 max), with the
-// critical path backtracked through the compiled arrays. GatesTimed is left
+// entries: it selects the critical endpoint (primary outputs in
+// declaration order, strict level-0 max) and backtracks the critical path
+// through the compiled arrays. GatesTimed is left
 // zero for the caller.
 func (g *Graph) ResultFromFlat(st *FlatState, c Corner, ep map[string][]EndpointEntry) (*Result, error) {
 	res := &Result{EndpointArrivals: make(map[string]map[int]float64)}
@@ -799,7 +812,7 @@ func (g *Graph) ResultFromFlat(st *FlatState, c Corner, ep map[string][]Endpoint
 }
 
 // backtrackFlat reconstructs the worst path ending at a PO net/edge from
-// flat state — the compiled Timer.backtrack, producing an identical Path.
+// flat state.
 func (g *Graph) backtrackFlat(st *FlatState, c Corner, endNet int, endEdge waveform.Edge) (*Path, error) {
 	type link struct {
 		net  int
@@ -877,8 +890,9 @@ func (g *Graph) backtrackFlat(st *FlatState, c Corner, endNet int, endEdge wavef
 }
 
 // TopPathsFlat ranks a result's endpoints (mean arrival descending, then
-// endpoint key) and backtracks the worst path of each of the k slowest —
-// the compiled TopPathsFrom.
+// endpoint key, for deterministic tie-breaking) and backtracks the worst
+// path of each of the k slowest. Timer.AnalyzeTopPaths and incremental
+// snapshots both serve top-k through it.
 func (g *Graph) TopPathsFlat(st *FlatState, c Corner, res *Result, k int) ([]*Path, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sta: k must be positive")
@@ -921,44 +935,6 @@ func (g *Graph) TopPathsFlat(st *FlatState, c Corner, res *Result, k int) ([]*Pa
 		paths = append(paths, p)
 	}
 	return paths, nil
-}
-
-// StateMapOf materialises the name-keyed legacy StateMap view of a flat
-// state — the boundary marshalling AnalyzeAllStates preserves for callers
-// that backtrack through the legacy API.
-func (g *Graph) StateMapOf(st *FlatState) StateMap {
-	out := make(StateMap, len(g.netNames))
-	nlev := st.nlev
-	for net := range g.netNames {
-		slot := &[2]NetState{}
-		for ei := 0; ei < 2; ei++ {
-			si := net*2 + ei
-			ns := &slot[ei]
-			ns.Valid = st.valid[si]
-			if !ns.Valid {
-				continue
-			}
-			ns.Slew = st.slew[si]
-			ns.Arr = make(map[int]float64, nlev)
-			for li, n := range g.levels {
-				ns.Arr[n] = st.arr[si*nlev+li]
-			}
-			if wp := st.winPin[si]; wp >= 0 {
-				ns.InPin = g.pinName[wp]
-				ns.InEdge = waveform.Edge(ei == 1).Opposite()
-				ns.InSlew = st.inSlew[si]
-				ns.Load = st.load[si]
-				ns.Moms = st.moms[si]
-				ns.WinSinkIdx = int(g.pinSinkIdx[wp])
-				ns.Quant = make(map[int]float64, nlev)
-				for li, n := range g.levels {
-					ns.Quant[n] = st.quant[si*nlev+li]
-				}
-			}
-		}
-		out[g.netNames[net]] = slot
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

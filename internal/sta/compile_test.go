@@ -8,8 +8,8 @@ import (
 )
 
 // This file pins the correctness anchor of the data-oriented eval core: the
-// compiled SoA engine must reproduce the legacy map-based engine bit for
-// bit — every result, every propagated state field, every backtracked path
+// compiled SoA engine must reproduce the map-based reference engine of
+// legacy_test.go bit for bit — every result, every propagated state field, every backtracked path
 // — across circuits, corner sets and worker counts; and its steady-state
 // per-gate loop must not allocate.
 
@@ -36,7 +36,7 @@ func assertStateMapsIdentical(t *testing.T, label string, want, got StateMap) {
 // TestCompiledMatchesLegacyBitwise is the compiled-vs-legacy equivalence
 // property: for several circuits, corner sets and worker counts, the
 // compiled engine returns results, states and top-k paths bit-identical to
-// the retained legacy engine.
+// the reference engine in legacy_test.go.
 func TestCompiledMatchesLegacyBitwise(t *testing.T) {
 	cornerSets := map[string]CornerSet{
 		"neutral": {},
@@ -60,7 +60,7 @@ func TestCompiledMatchesLegacyBitwise(t *testing.T) {
 			}
 			for _, par := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%s par=%d", circuit, csName, par)
-				gotRes, gotStates, err := timer.analyzeCorners(ctx, AnalyzeOptions{Corners: cs, Parallelism: par})
+				g, gotStates, gotRes, err := timer.AnalyzeAllFlat(ctx, AnalyzeOptions{Corners: cs, Parallelism: par})
 				if err != nil {
 					t.Fatalf("%s compiled: %v", label, err)
 				}
@@ -70,7 +70,7 @@ func TestCompiledMatchesLegacyBitwise(t *testing.T) {
 				for ci := range wantRes {
 					cl := fmt.Sprintf("%s corner=%d", label, ci)
 					assertResultsIdentical(t, cl, wantRes[ci], gotRes[ci])
-					assertStateMapsIdentical(t, cl, wantStates[ci], gotStates[ci])
+					assertStateMapsIdentical(t, cl, wantStates[ci], stateMapOf(g, gotStates[ci]))
 				}
 			}
 		}
@@ -78,7 +78,7 @@ func TestCompiledMatchesLegacyBitwise(t *testing.T) {
 }
 
 // TestTopPathsFlatMatchesLegacy compares the compiled top-k extraction
-// (flat-state ranking + array backtracking) against the legacy
+// (flat-state ranking + array backtracking) against the reference engine's
 // TopPathsFrom over the same analysis.
 func TestTopPathsFlatMatchesLegacy(t *testing.T) {
 	timer := benchTimer(t, "c1355")
@@ -90,7 +90,7 @@ func TestTopPathsFlatMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := timer.WithCorner(corner)
+	ct, err := timer.withCorner(corner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,32 +121,3 @@ type AnalyzeOptions struct {
 	// are bit-identical at every value (including 0/1 = sequential).
 	Parallelism int
 }
-
-// WithCorner returns a Timer evaluating under the given operating corner.
-// The structural maps, library, netlist and parasitics are shared; only the
-// corner differs. The zero corner returns an equivalent neutral timer.
-func (t *Timer) WithCorner(c Corner) (*Timer, error) {
-	if err := c.validate(0); err != nil {
-		return nil, err
-	}
-	cp := *t
-	cp.corner = c
-	return &cp, nil
-}
-
-// Corner returns the operating corner the timer evaluates under (zero value
-// = neutral).
-func (t *Timer) Corner() Corner { return t.corner }
-
-// effInputSlew is the effective transition at a primary-input net under the
-// timer's corner: per-net override first (an SDC-style constraint applies at
-// every corner), then the corner's operating point, then the global default.
-func (t *Timer) effInputSlew(net string) float64 {
-	if s, ok := t.opt.InputSlews[net]; ok {
-		return s
-	}
-	if t.corner.InputSlew > 0 {
-		return t.corner.InputSlew
-	}
-	return t.opt.InputSlew
-}

@@ -24,14 +24,12 @@ import (
 // buffered reduction; and because every gate's arithmetic is self-contained
 // (no cross-gate floating-point accumulation), the committed values are
 // bit-identical at any worker count — parallelism changes only the
-// wall-clock, never a single bit of the result. The pre-compiled legacy
-// engine is retained below (analyzeCornersLegacy) as the reference
-// implementation the equivalence suite pins the compiled path against.
+// wall-clock, never a single bit of the result.
 
 // AnalyzeAll times the design under every corner of the set in one
 // levelized traversal, optionally spreading each wavefront level across a
 // bounded worker pool. results[i] belongs to opts.Corners.Corners[i] (one
-// neutral/timer-corner result when the set is empty). Results are
+// neutral-corner result when the set is empty). Results are
 // bit-identical to running each corner through a sequential Analyze, at any
 // Parallelism.
 func (t *Timer) AnalyzeAll(ctx context.Context, opts AnalyzeOptions) ([]*Result, error) {
@@ -39,33 +37,11 @@ func (t *Timer) AnalyzeAll(ctx context.Context, opts AnalyzeOptions) ([]*Result,
 	return results, err
 }
 
-// AnalyzeAllStates is AnalyzeAll also returning the per-corner propagated
-// states, for callers that backtrack further paths (top-k reporting,
-// incremental snapshots). The name-keyed maps are materialised from the
-// flat planes at this boundary.
-func (t *Timer) AnalyzeAllStates(ctx context.Context, opts AnalyzeOptions) ([]*Result, []StateMap, error) {
-	return t.analyzeCorners(ctx, opts)
-}
-
 // AnalyzeAllFlat is AnalyzeAll returning the compiled graph and the flat
 // per-corner states — the allocation-free surface the incremental engine
 // and flat-state queries build on.
 func (t *Timer) AnalyzeAllFlat(ctx context.Context, opts AnalyzeOptions) (*Graph, []*FlatState, []*Result, error) {
 	return t.analyzeCornersFlat(ctx, opts)
-}
-
-// analyzeCorners drives the compiled engine and marshals the flat states
-// back into the legacy name-keyed StateMaps.
-func (t *Timer) analyzeCorners(ctx context.Context, opts AnalyzeOptions) ([]*Result, []StateMap, error) {
-	g, flat, results, err := t.analyzeCornersFlat(ctx, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	states := make([]StateMap, len(flat))
-	for ci, st := range flat {
-		states[ci] = g.StateMapOf(st)
-	}
-	return results, states, nil
 }
 
 // analyzeCornersFlat is the compiled wavefront engine proper.
@@ -89,10 +65,7 @@ func (t *Timer) analyzeCornersFlat(ctx context.Context, opts AnalyzeOptions) (*G
 			return nil, nil, nil, err
 		}
 	}
-	corners := []Corner{t.corner}
-	if len(opts.Corners.Corners) > 0 {
-		corners = opts.Corners.Corners
-	}
+	corners := opts.Corners.normalized()
 	g, err := et.Compiled()
 	if err != nil {
 		return nil, nil, nil, err
@@ -249,179 +222,4 @@ func (g *Graph) Propagate(ctx context.Context, states []*FlatState, corners []Co
 		}
 	}
 	return gatesTimed, nil
-}
-
-// analyzeCornersLegacy is the pre-compiled wavefront engine over the
-// name-keyed StateMaps — retained verbatim as the reference implementation:
-// the equivalence suite requires the compiled engine above to reproduce its
-// results bit for bit on every circuit, corner set and worker count.
-func (t *Timer) analyzeCornersLegacy(ctx context.Context, opts AnalyzeOptions) ([]*Result, []StateMap, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opts.Corners.validate(); err != nil {
-		return nil, nil, err
-	}
-	et := t
-	if len(opts.Corners.Levels) > 0 {
-		o := t.opt
-		o.Levels = opts.Corners.Levels
-		var err error
-		et, err = t.WithOptions(o)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	corners := []Corner{t.corner}
-	if len(opts.Corners.Corners) > 0 {
-		corners = opts.Corners.Corners
-	}
-	timers := make([]*Timer, len(corners))
-	for ci, c := range corners {
-		tc, err := et.WithCorner(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		timers[ci] = tc
-	}
-	par := opts.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	order, err := t.nl.Levelize()
-	if err != nil {
-		return nil, nil, err
-	}
-	groups := t.levelGroups(order)
-
-	// Pre-seed every net the propagation touches, so worker goroutines only
-	// ever read existing StateMap entries — a lazy At() insertion from a
-	// worker would be a concurrent map write. Primary inputs get their
-	// corner-specific boundary state; gate outputs get invalid placeholders
-	// the per-level commits fill in.
-	states := make([]StateMap, len(corners))
-	for ci, tc := range timers {
-		state := make(StateMap, t.nl.NumNets())
-		for _, in := range t.nl.Inputs {
-			*state.At(in) = tc.InputState(in)
-		}
-		for gi := range t.nl.Gates {
-			state.At(t.nl.Gates[gi].Output())
-		}
-		states[ci] = state
-	}
-
-	type gateOut struct {
-		outs [][2]NetState
-		arcs int
-	}
-	gatesTimed := 0
-	checkEvery := 1
-	for _, grp := range groups {
-		if len(grp) == 0 {
-			continue
-		}
-		workers := par
-		if workers > len(grp) {
-			workers = len(grp)
-		}
-		buf := make([]gateOut, len(grp))
-		var lerr error
-		if workers == 1 {
-			for i, gi := range grp {
-				checkEvery--
-				if checkEvery <= 0 {
-					checkEvery = 64
-					if err := ctx.Err(); err != nil {
-						lerr = resilience.Wrap("sta: analyze", err)
-						break
-					}
-				}
-				outs, arcs, err := et.EvalGateBatch(gi, states, corners)
-				if err != nil {
-					lerr = err
-					break
-				}
-				buf[i] = gateOut{outs: outs, arcs: arcs}
-			}
-		} else {
-			errs := make([]error, len(grp))
-			var next atomic.Int64
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					countdown := 1
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(grp) || stop.Load() {
-							return
-						}
-						countdown--
-						if countdown <= 0 {
-							countdown = 64
-							if err := ctx.Err(); err != nil {
-								errs[i] = resilience.Wrap("sta: analyze", err)
-								stop.Store(true)
-								return
-							}
-						}
-						outs, arcs, err := et.EvalGateBatch(grp[i], states, corners)
-						if err != nil {
-							errs[i] = err
-							stop.Store(true)
-							return
-						}
-						buf[i] = gateOut{outs: outs, arcs: arcs}
-					}
-				}()
-			}
-			wg.Wait()
-			// Lowest-index error wins, so the reported failure does not
-			// depend on goroutine scheduling.
-			for _, err := range errs {
-				if err != nil {
-					lerr = err
-					break
-				}
-			}
-		}
-		if lerr != nil {
-			return nil, nil, lerr
-		}
-		// Deterministic reduction: commit the buffered outputs in slice
-		// order on this goroutine.
-		for i, gi := range grp {
-			outNet := t.nl.Gates[gi].Output()
-			for ci := range states {
-				*states[ci].At(outNet) = buf[i].outs[ci]
-			}
-			gatesTimed += buf[i].arcs
-		}
-	}
-
-	// Endpoints and per-corner results.
-	results := make([]*Result, len(corners))
-	for ci, tc := range timers {
-		ep := make(map[string][]EndpointEntry, len(t.nl.Outputs))
-		for _, po := range t.nl.Outputs {
-			if _, done := ep[po]; done {
-				continue
-			}
-			entries, err := tc.EndpointsForNet(po, states[ci])
-			if err != nil {
-				return nil, nil, err
-			}
-			ep[po] = entries
-		}
-		res, err := tc.ResultFrom(states[ci], ep)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.GatesTimed = gatesTimed
-		results[ci] = res
-	}
-	return results, states, nil
 }

@@ -207,7 +207,7 @@ func TestCornerSemantics(t *testing.T) {
 }
 
 // TestCornerSetValidation rejects non-physical corners and duplicate names
-// up front, through both AnalyzeAll and WithCorner.
+// up front through AnalyzeAll.
 func TestCornerSetValidation(t *testing.T) {
 	timer := benchTimer(t, "c432")
 	ctx := context.Background()
@@ -220,9 +220,6 @@ func TestCornerSetValidation(t *testing.T) {
 		if _, err := timer.AnalyzeAll(ctx, AnalyzeOptions{Corners: cs}); err == nil {
 			t.Fatalf("bad corner set %d accepted", i)
 		}
-	}
-	if _, err := timer.WithCorner(Corner{CapScale: -1}); err == nil {
-		t.Fatal("WithCorner accepted a negative cap scale")
 	}
 }
 

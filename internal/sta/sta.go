@@ -8,7 +8,6 @@ package sta
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -54,7 +53,6 @@ func (o *Options) setDefaults() {
 		o.POLoadCell = "INVx4"
 	}
 }
-
 
 // Stage is one link of a timing path: a driving cell arc (absent for the
 // primary-input stage) followed by its output net up to the next pin. It
@@ -131,30 +129,24 @@ type Result struct {
 }
 
 // Timer runs analyses of one netlist + parasitics against a coefficients
-// file.
+// file. It is a thin front over the compiled Graph: every analysis compiles
+// once (Compiled) and propagates through analyzeCornersFlat.
 type Timer struct {
 	lib   *timinglib.File
 	nl    *netlist.Netlist
 	trees map[string]*rctree.Tree
 	opt   Options
 
-	// corner is the operating condition this timer evaluates under; the
-	// zero value is the neutral corner (no perturbation). Multi-corner
-	// batching derives one timer per corner via WithCorner.
-	corner Corner
-
 	fan map[string][]netlist.Sink
 	drv map[string]int
 	// pinsOf[gi] is gate gi's input pins in sorted order — structural, like
-	// fan/drv: ECO resizes swap cells within a footprint but never pins, so
-	// WithNetlist/WithTrees/WithCorner copies share it.
+	// fan/drv, so WithOptions copies share it.
 	pinsOf [][]string
 
 	// compiled caches the timer's compiled graph (compile.go). The cache
-	// key is the compile inputs — netlist, trees, options, library — so
-	// WithNetlist/WithTrees/WithOptions copies start a fresh cache while
-	// WithCorner copies share it (corners are evaluation-time state, not
-	// compiled in). Held by pointer so timer copies see one cache.
+	// key is the compile inputs — netlist, trees, options, library — so a
+	// WithOptions copy starts a fresh cache. Corners are evaluation-time
+	// state, not compiled in. Held by pointer so timer copies see one cache.
 	compiled *graphCache
 }
 
@@ -205,21 +197,11 @@ func (t *Timer) Analyze() (*Result, error) {
 // deadline) stops the propagation between gates and returns a classified
 // error, so a long analysis of a large design can be aborted promptly.
 func (t *Timer) AnalyzeContext(ctx context.Context) (*Result, error) {
-	res, _, err := t.analyzeInternal(ctx)
-	return res, err
-}
-
-// analyzeInternal runs the propagation and also returns the per-net state
-// so callers (AnalyzeTopPaths) can backtrack additional paths. It is the
-// single-corner sequential driver over the wavefront engine in parallel.go
-// — exactly the same code path the parallel multi-corner analysis runs, at
-// parallelism 1 with the timer's own corner.
-func (t *Timer) analyzeInternal(ctx context.Context) (*Result, StateMap, error) {
-	results, states, err := t.analyzeCorners(ctx, AnalyzeOptions{})
+	_, _, results, err := t.analyzeCornersFlat(ctx, AnalyzeOptions{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return results[0], states[0], nil
+	return results[0], nil
 }
 
 // levelGroups partitions a topological order into logic levels: a gate's
@@ -246,28 +228,6 @@ func (t *Timer) levelGroups(order []int) [][]int {
 		groups[lv[gi]] = append(groups[lv[gi]], gi)
 	}
 	return groups
-}
-
-// inputRootSlew models the transition time at a primary-input net root for
-// the given edge: the assumed pad driver (Options.InputDriver) driving the
-// net's total load — matching what the golden path Monte Carlo simulates.
-// Designs timed against a library without the pad-driver arc fall back to
-// the raw input slew.
-func (t *Timer) inputRootSlew(net string, e waveform.Edge) float64 {
-	inSlew := t.effInputSlew(net)
-	tree := t.trees[net]
-	if tree == nil {
-		return inSlew
-	}
-	info, err := t.lib.Cell(t.opt.InputDriver)
-	if err != nil || len(info.Inputs) == 0 {
-		return inSlew
-	}
-	arc, err := t.lib.Arc(t.opt.InputDriver, info.Inputs[0], e.Opposite())
-	if err != nil {
-		return inSlew
-	}
-	return arc.OutSlew(inSlew, t.corner.scaled(tree.TotalCap()))
 }
 
 // sinkLeaf finds the fanout index and tree leaf of gate gi's pin on net.
@@ -297,25 +257,6 @@ func (t *Timer) poLeaf(net string, sinkIdx int) (int, error) {
 	return leaf, nil
 }
 
-// atLeaf transports a net-root state to a leaf: arrival via the wire
-// quantile model, slew via the PERI degradation rule
-// (leaf² = root² + (ln9·Elmore)²).
-func (t *Timer) atLeaf(net string, st *NetState, leaf int, sinkGate int) (map[int]float64, float64, error) {
-	tree := t.trees[net]
-	elmore := t.corner.scaled(tree.Elmore(leaf))
-	xw, err := t.xwFor(net, sinkGate)
-	if err != nil {
-		return nil, 0, err
-	}
-	arr := make(map[int]float64, len(st.Arr))
-	for n, a := range st.Arr {
-		arr[n] = a + (1+float64(n)*xw)*elmore
-	}
-	const ln9 = 2.1972245773362196
-	slew := math.Sqrt(st.Slew*st.Slew + (ln9*elmore)*(ln9*elmore))
-	return arr, slew, nil
-}
-
 // xwFor evaluates the wire variability of a net toward a sink gate (or a PO
 // when sinkGate < 0).
 func (t *Timer) xwFor(net string, sinkGate int) (float64, error) {
@@ -333,99 +274,27 @@ func (t *Timer) xwFor(net string, sinkGate int) (float64, error) {
 	return t.lib.Wire.XW(driver, load)
 }
 
-// backtrack reconstructs the critical path ending at the PO net/edge.
-func (t *Timer) backtrack(state StateMap, endNet string, endEdge waveform.Edge) (*Path, error) {
-	type link struct {
-		net  string
-		edge waveform.Edge
+// WithOptions returns a Timer sharing this one's inputs under different
+// (validated) options.
+func (t *Timer) WithOptions(opt Options) (*Timer, error) {
+	opt.setDefaults()
+	if err := opt.validate(t.lib, t.nl); err != nil {
+		return nil, err
 	}
-	var rev []link
-	cur := link{net: endNet, edge: endEdge}
-	for {
-		rev = append(rev, cur)
-		gi, ok := t.drv[cur.net]
-		if !ok {
-			break // reached a primary input
-		}
-		st := state[cur.net][EdgeIdx(cur.edge)]
-		if !st.Valid {
-			return nil, fmt.Errorf("sta: backtrack through invalid state at %s", cur.net)
-		}
-		cur = link{net: t.nl.Gates[gi].Pins[st.InPin], edge: st.InEdge}
-	}
-	// rev is endpoint→PI; build stages PI→endpoint.
-	p := &Path{Endpoint: endNet}
-	for i := len(rev) - 1; i >= 0; i-- {
-		l := rev[i]
-		stg := Stage{GateIdx: -1, Net: l.net, Tree: t.trees[l.net], SinkLeaf: -1}
-		if gi, ok := t.drv[l.net]; ok {
-			st := state[l.net][EdgeIdx(l.edge)]
-			g := &t.nl.Gates[gi]
-			stg.GateIdx = gi
-			stg.Cell = g.Cell
-			stg.InPin = st.InPin
-			stg.InEdge = st.InEdge
-			stg.InSlew = st.InSlew
-			stg.Load = st.Load
-			stg.CellMoments = st.Moms
-			stg.CellQ = st.Quant
-			stg.OutSlew = st.Slew
-		} else {
-			p.Launch = l.edge
-			stg.InEdge = l.edge
-			stg.InSlew = t.effInputSlew(l.net)
-			st := state[l.net][EdgeIdx(l.edge)]
-			stg.OutSlew = st.Slew
-		}
-		// Wire segment toward the next stage (or the endpoint PO).
-		if i > 0 {
-			nextNet := rev[i-1].net
-			ngi := t.drv[nextNet]
-			ng := &t.nl.Gates[ngi]
-			nst := state[nextNet][EdgeIdx(rev[i-1].edge)]
-			sinkIdx, leaf, err := t.sinkLeaf(l.net, ngi, nst.InPin)
-			if err != nil {
-				return nil, err
-			}
-			stg.SinkIdx = sinkIdx
-			stg.SinkLeaf = leaf
-			stg.SinkCell = ng.Cell
-			stg.SinkPin = nst.InPin
-			pc, err := t.lib.PinCap(ng.Cell, nst.InPin)
-			if err != nil {
-				return nil, err
-			}
-			stg.SinkPinCap = pc
-		} else {
-			// Endpoint: PO leaf.
-			for si, s := range t.fan[l.net] {
-				if s.Gate < 0 {
-					leaf, err := t.poLeaf(l.net, si)
-					if err != nil {
-						return nil, err
-					}
-					stg.SinkIdx = si
-					stg.SinkLeaf = leaf
-					break
-				}
-			}
-			if stg.SinkLeaf < 0 {
-				return nil, fmt.Errorf("sta: endpoint %s has no PO leaf", l.net)
-			}
-		}
-		stg.Elmore = t.corner.scaled(stg.Tree.Elmore(stg.SinkLeaf))
-		sinkGate := -1
-		if i > 0 {
-			sinkGate = t.drv[rev[i-1].net]
-		}
-		xw, err := t.xwFor(l.net, sinkGate)
-		if err != nil {
-			return nil, err
-		}
-		stg.XW = xw
-		const ln9 = 2.1972245773362196
-		stg.LeafSlew = math.Sqrt(stg.OutSlew*stg.OutSlew + (ln9*stg.Elmore)*(ln9*stg.Elmore))
-		p.Stages = append(p.Stages, stg)
-	}
-	return p, nil
+	cp := *t
+	cp.opt = opt
+	cp.compiled = &graphCache{}
+	return &cp, nil
 }
+
+// Netlist returns the analyzed netlist.
+func (t *Timer) Netlist() *netlist.Netlist { return t.nl }
+
+// Lib returns the coefficients file the timer evaluates against.
+func (t *Timer) Lib() *timinglib.File { return t.lib }
+
+// Options returns the effective (defaulted) analysis options.
+func (t *Timer) Options() Options { return t.opt }
+
+// Trees returns the parasitic trees keyed by net.
+func (t *Timer) Trees() map[string]*rctree.Tree { return t.trees }

@@ -1,13 +1,6 @@
 package sta
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/waveform"
-)
+import "context"
 
 // AnalyzeTopPaths times the design and extracts the worst path of each of
 // the k slowest endpoints (one path per endpoint, ranked by mean arrival) —
@@ -19,64 +12,13 @@ func (t *Timer) AnalyzeTopPaths(k int) (*Result, []*Path, error) {
 
 // AnalyzeTopPathsContext is AnalyzeTopPaths under a cancelable context.
 func (t *Timer) AnalyzeTopPathsContext(ctx context.Context, k int) (*Result, []*Path, error) {
-	res, state, err := t.analyze(ctx)
+	g, states, results, err := t.analyzeCornersFlat(ctx, AnalyzeOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	paths, err := t.TopPathsFrom(state, res, k)
+	paths, err := g.TopPathsFlat(states[0], Corner{}, results[0], k)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, paths, nil
-}
-
-// TopPathsFrom ranks a result's endpoints (mean arrival descending, then
-// endpoint key for deterministic tie-breaking) and backtracks the worst
-// path of each of the k slowest through the given state. It is the query
-// half of AnalyzeTopPaths, reused by incremental snapshots.
-func (t *Timer) TopPathsFrom(state StateMap, res *Result, k int) ([]*Path, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("sta: k must be positive")
-	}
-	type endpoint struct {
-		key  string
-		arr  float64
-		net  string
-		edge waveform.Edge
-	}
-	eps := make([]endpoint, 0, len(res.EndpointArrivals))
-	for key, arr := range res.EndpointArrivals {
-		i := strings.LastIndexByte(key, '/')
-		net := key[:i]
-		edge := waveform.Falling
-		if key[i+1:] == waveform.Rising.String() {
-			edge = waveform.Rising
-		}
-		eps = append(eps, endpoint{key: key, arr: arr[0], net: net, edge: edge})
-	}
-	sort.Slice(eps, func(i, j int) bool {
-		if eps[i].arr != eps[j].arr {
-			return eps[i].arr > eps[j].arr
-		}
-		return eps[i].key < eps[j].key
-	})
-	if k > len(eps) {
-		k = len(eps)
-	}
-	paths := make([]*Path, 0, k)
-	for _, ep := range eps[:k] {
-		p, err := t.backtrack(state, ep.net, ep.edge)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
-}
-
-// analyze is the shared implementation behind Analyze and AnalyzeTopPaths,
-// returning the propagated state for further backtracking.
-func (t *Timer) analyze(ctx context.Context) (*Result, StateMap, error) {
-	res, state, err := t.analyzeInternal(ctx)
-	return res, state, err
+	return results[0], paths, nil
 }

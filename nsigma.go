@@ -184,14 +184,15 @@ func WithSTAOptions(opt STAOptions) Option {
 }
 
 // WithCorners batches operating corners: an incremental engine carries one
-// timing state per corner through every edit; a Timer analyses them all in
-// one traversal via AnalyzeAll.
+// timing state per corner through every edit. Ignored by NewTimer: pass
+// corners to Timer.AnalyzeAll in AnalyzeOptions.Corners.
 func WithCorners(cs CornerSet) Option {
 	return func(c *builderConfig) { c.corners = cs }
 }
 
-// WithParallelism sets the wavefront worker count (0/1 = sequential;
-// results are bit-identical at every value).
+// WithParallelism sets the incremental engine's wavefront worker count (0/1
+// = sequential; results are bit-identical at every value). Ignored by
+// NewTimer: pass AnalyzeOptions.Parallelism to Timer.AnalyzeAll.
 func WithParallelism(n int) Option {
 	return func(c *builderConfig) { c.parallelism = n }
 }
@@ -240,12 +241,16 @@ func NewIncrementalEngine(ctx context.Context, lib *TimingFile, nl *Netlist, opt
 }
 
 // NewTimer builds an N-sigma STA engine over a netlist, its parasitics and
-// a coefficients file. Corner and parallelism options become the defaults
-// of AnalyzeAll calls made through AnalyzeAllDefault; plain Analyze stays a
-// sequential neutral-corner run.
+// a coefficients file. WithCorners, WithParallelism and WithEpsilon are
+// ignored by NewTimer: pass corners and parallelism per call in the
+// AnalyzeOptions of AnalyzeAll. Plain Analyze is a sequential
+// neutral-corner run.
 //
 //	timer, err := repro.NewTimer(ctx, lib, nl, repro.WithParasitics(trees))
-//	res, err := timer.Analyze(ctx)
+//	res, err := timer.Analyze()
+//	all, err := timer.AnalyzeAll(ctx, repro.AnalyzeOptions{
+//	    Corners:     repro.CornerSet{Corners: []repro.Corner{{Name: "slow", CapScale: 1.1}}},
+//	    Parallelism: 4})
 func NewTimer(ctx context.Context, lib *TimingFile, nl *Netlist, opts ...Option) (*Timer, error) {
 	c, err := applyOptions(opts)
 	if err != nil {
@@ -255,20 +260,6 @@ func NewTimer(ctx context.Context, lib *TimingFile, nl *Netlist, opts ...Option)
 		return nil, err
 	}
 	return sta.NewTimer(lib, nl, c.trees, c.opt)
-}
-
-// NewIncrementalEngineLegacy is the pre-v1 constructor shape.
-//
-// Deprecated: use NewIncrementalEngine with functional options.
-func NewIncrementalEngineLegacy(lib *TimingFile, nl *Netlist, trees map[string]*Tree, cfg IncrementalConfig) (*IncrementalEngine, error) {
-	return incsta.New(lib, nl, trees, cfg)
-}
-
-// NewTimerLegacy is the pre-v1 constructor shape.
-//
-// Deprecated: use NewTimer with functional options.
-func NewTimerLegacy(lib *TimingFile, nl *Netlist, trees map[string]*Tree, opt STAOptions) (*Timer, error) {
-	return sta.NewTimer(lib, nl, trees, opt)
 }
 
 // WireQuantile evaluates eq. (9): T_w(nσ) = (1 + n·X_w)·T_Elmore.

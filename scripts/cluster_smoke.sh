@@ -86,9 +86,9 @@ for i in $(seq 1 "$EDITS"); do
 done
 
 echo "== discover placement"
-route=$(curl -fsS "${URLS[0]}/v1/cluster/route?design=smoke")
-OWNER=$(echo "$route" | jq -r '.owner')
-REPLICA=$(echo "$route" | jq -r '.replicas[0]')
+route=$(curl -fsS "${URLS[0]}/v1/cluster/designs/smoke")
+OWNER=$(echo "$route" | jq -r '.ring.owner')
+REPLICA=$(echo "$route" | jq -r '.ring.replicas[0]')
 echo "   owner=$OWNER replica=$REPLICA"
 [[ -n "$OWNER" && -n "$REPLICA" && "$OWNER" != "null" && "$REPLICA" != "null" ]] \
   || { echo "FAIL: route did not name an owner and a replica: $route" >&2; exit 1; }
