@@ -28,8 +28,8 @@ type LeaseInfo struct {
 
 // LeaseTable holds the per-design lease state. Safe for concurrent use.
 // The optional change hook (set once, before concurrent use) fires after
-// every mutation so the server can persist promises durably — a restarted
-// node must not re-grant an epoch it promised before the crash.
+// every state change so the server can persist promises durably — a
+// restarted node must not re-grant an epoch it promised before the crash.
 type LeaseTable struct {
 	mu       sync.Mutex
 	leases   map[string]LeaseInfo
@@ -79,10 +79,13 @@ func (t *LeaseTable) Promise(design string, epoch uint64) bool {
 
 // Adopt installs (owner, epoch) as the design's accepted lease. It succeeds
 // for a strictly greater epoch, or for the current epoch when the owner
-// matches (idempotent re-adopt); anything lower is stale and refused.
+// matches (idempotent re-adopt); anything lower is stale and refused. An
+// idempotent re-adopt that changes nothing skips the change hook, so a
+// replica acking every shipped edit does not re-persist its lease table.
 func (t *LeaseTable) Adopt(design, owner string, epoch uint64) bool {
 	t.mu.Lock()
-	li := t.leases[design]
+	old, known := t.leases[design]
+	li := old
 	switch {
 	case epoch > li.Epoch:
 	case epoch == li.Epoch && (li.Owner == "" || li.Owner == owner):
@@ -96,7 +99,9 @@ func (t *LeaseTable) Adopt(design, owner string, epoch uint64) bool {
 	}
 	t.leases[design] = li
 	t.mu.Unlock()
-	t.changed()
+	if !known || li != old {
+		t.changed()
+	}
 	return true
 }
 

@@ -107,6 +107,40 @@ func TestLeaseTableOnChange(t *testing.T) {
 	}
 }
 
+// TestLeaseAdoptUnchangedSkipsOnChange: a replica re-adopts the same lease
+// on every replicated edit; only a real change may reach the persistence
+// hook (each call rewrites and fsyncs the lease file).
+func TestLeaseAdoptUnchangedSkipsOnChange(t *testing.T) {
+	lt := NewLeaseTable()
+	calls := 0
+	lt.OnChange(func() { calls++ })
+	lt.Adopt("d", "", 0) // first sight of d: fires even at the zero lease
+	for i := 0; i < 5; i++ {
+		lt.Adopt("d", "", 0)
+	}
+	if calls != 1 {
+		t.Fatalf("after repeated zero adopts: onChange calls = %d, want 1", calls)
+	}
+	lt.Adopt("d", "a", 2) // fires
+	for i := 0; i < 100; i++ {
+		if !lt.Adopt("d", "a", 2) {
+			t.Fatal("idempotent re-adopt refused")
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("after 100 identical adopts: onChange calls = %d, want 2", calls)
+	}
+	lt.Promise("d", 3)    // fires
+	lt.Adopt("d", "a", 2) // accepted, but the lease and promise stay as they are
+	if calls != 3 {
+		t.Fatalf("after promise + same adopt: onChange calls = %d, want 3", calls)
+	}
+	lt.Adopt("d", "b", 3) // fires: new owner at the promised epoch
+	if calls != 4 {
+		t.Fatalf("after a real adopt: onChange calls = %d, want 4", calls)
+	}
+}
+
 // TestLeaseFencingProperty drives random claim schedules over a simulated
 // cluster of lease tables and asserts the safety property the whole design
 // rests on: no two candidates ever win the same (design, epoch), no matter

@@ -56,20 +56,65 @@ type Edit struct {
 	Tree     *rctree.Tree `json:"tree,omitempty"`
 }
 
-// ApplyEdit dispatches a serialized Edit to its typed method — the single
-// replay entry point WAL recovery and edit queues drive. Rejections are the
-// same *EditError values the typed methods return, so a replayer can skip
-// exactly the edits the original submission rejected.
+// EditResult is one edit's outcome within ApplyBatch: its Report when the
+// edit was applied, or its rejection.
+type EditResult struct {
+	Report *Report
+	Err    error
+}
+
+// ApplyBatch applies eds in order under one hold of the engine lock and
+// publishes one snapshot at the end — WAL recovery's replay entry point.
+// Each edit gets the Report or rejection ApplyEdit would have returned for
+// it in the same sequence, and the published Version and Stats (Publishes
+// aside) equal what that sequence leaves: applied edits, no-ops included,
+// each advance the version; rejections leave the engine untouched. The
+// snapshots of intermediate versions are never built. A batch in which
+// every edit is rejected publishes nothing.
+//
+// The returned error is a publication failure: the edits are then applied
+// to the engine's state (the next publication carries them) but the
+// current snapshot still shows the state before the batch.
+func (e *Engine) ApplyBatch(eds []Edit) ([]EditResult, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]EditResult, len(eds))
+	applied := false
+	for i, ed := range eds {
+		rep, err := e.applyLocked(ed)
+		out[i] = EditResult{Report: rep, Err: err}
+		applied = applied || err == nil
+	}
+	if !applied {
+		return out, nil
+	}
+	return out, e.publishLocked()
+}
+
+// ApplyEdit applies one serialized Edit and publishes its snapshot: a
+// one-edit ApplyBatch, and the path every typed edit method takes.
+// Rejections are *EditError values, so a replayer can skip exactly the
+// edits the original submission rejected.
 func (e *Engine) ApplyEdit(ed Edit) (*Report, error) {
+	res, err := e.ApplyBatch([]Edit{ed})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Report, res[0].Err
+}
+
+// applyLocked dispatches one edit to its unpublished body. Called with e.mu
+// held.
+func (e *Engine) applyLocked(ed Edit) (*Report, error) {
 	switch ed.Op {
 	case OpResize:
-		return e.ResizeCell(ed.Gate, ed.Strength)
+		return e.resizeLocked(ed.Gate, ed.Strength)
 	case OpSwap:
-		return e.SwapCell(ed.Gate, ed.Cell)
+		return e.swapLocked("swap", ed.Gate, ed.Cell)
 	case OpSetNetParasitics:
-		return e.SetNetParasitics(ed.Net, ed.Tree)
+		return e.setNetParasiticsLocked(ed.Net, ed.Tree)
 	case OpSetInputSlew:
-		return e.SetInputSlew(ed.Net, ed.Slew)
+		return e.setInputSlewLocked(ed.Net, ed.Slew)
 	default:
 		return nil, &EditError{Op: ed.Op, Reason: "unknown edit op"}
 	}
@@ -87,23 +132,33 @@ type Report struct {
 	Cut int
 	// Endpoints counts endpoint entries re-transported.
 	Endpoints int
+	// Version is the snapshot version this edit produced: the version
+	// ApplyEdit publishes, or the one the edit reached inside a batch.
+	Version uint64
 }
 
 // ResizeCell swaps a gate to a different drive strength of the same kind
 // ("INVx1" → "INVx4"), following the library's "<kind>x<strength>" naming.
 func (e *Engine) ResizeCell(gate string, strength int) (*Report, error) {
+	return e.ApplyEdit(Edit{Op: OpResize, Gate: gate, Strength: strength})
+}
+
+// SwapCell replaces a gate's cell with another library cell exposing the
+// same input pins (e.g. a NAND2 of a different VT flavour or strength).
+func (e *Engine) SwapCell(gate, newCell string) (*Report, error) {
+	return e.ApplyEdit(Edit{Op: OpSwap, Gate: gate, Cell: newCell})
+}
+
+func (e *Engine) resizeLocked(gate string, strength int) (*Report, error) {
 	if strength <= 0 {
 		return nil, &EditError{Op: "resize", Target: gate,
 			Reason: fmt.Sprintf("strength must be positive, got %d", strength)}
 	}
-	e.mu.Lock()
 	gi, ok := e.idx.Gate(gate)
 	if !ok {
-		e.mu.Unlock()
 		return nil, &EditError{Op: "resize", Target: gate, Reason: "unknown gate"}
 	}
 	cell := e.nl.Gates[gi].Cell
-	e.mu.Unlock()
 	x := strings.LastIndexByte(cell, 'x')
 	if x <= 0 {
 		return nil, &EditError{Op: "resize", Target: gate,
@@ -113,19 +168,10 @@ func (e *Engine) ResizeCell(gate string, strength int) (*Report, error) {
 		return nil, &EditError{Op: "resize", Target: gate,
 			Reason: fmt.Sprintf("cell %q has no x<strength> suffix", cell)}
 	}
-	return e.swap("resize", gate, fmt.Sprintf("%sx%d", cell[:x], strength))
+	return e.swapLocked("resize", gate, fmt.Sprintf("%sx%d", cell[:x], strength))
 }
 
-// SwapCell replaces a gate's cell with another library cell exposing the
-// same input pins (e.g. a NAND2 of a different VT flavour or strength).
-func (e *Engine) SwapCell(gate, newCell string) (*Report, error) {
-	return e.swap("swap", gate, newCell)
-}
-
-func (e *Engine) swap(op, gate, newCell string) (*Report, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
+func (e *Engine) swapLocked(op, gate, newCell string) (*Report, error) {
 	gi, ok := e.idx.Gate(gate)
 	if !ok {
 		return nil, &EditError{Op: op, Target: gate, Reason: "unknown gate"}
@@ -134,11 +180,8 @@ func (e *Engine) swap(op, gate, newCell string) (*Report, error) {
 	oldCell := g.Cell
 	if newCell == oldCell {
 		e.stats.Edits++
-		rep := &Report{Op: op}
-		if err := e.publishLocked(); err != nil {
-			return nil, err
-		}
-		return rep, nil
+		e.version++
+		return &Report{Op: op, Version: e.version}, nil
 	}
 
 	// Validate everything before touching state: the new cell must exist,
@@ -243,7 +286,7 @@ func (e *Engine) swap(op, gate, newCell string) (*Report, error) {
 		e.trees[p.net] = p.tree
 		e.touchNet(d, p.net)
 	}
-	return e.finishEdit(op, d)
+	return e.commitEdit(op, d), nil
 }
 
 // SetNetParasitics re-binds a net to a new RC tree — the ECO that follows a
@@ -251,9 +294,10 @@ func (e *Engine) swap(op, gate, newCell string) (*Report, error) {
 // carry a leaf for every sink pin of the net (the extractor's
 // "pin:<gate>:<pin>" / "pin:PO<i>" convention).
 func (e *Engine) SetNetParasitics(net string, tree *rctree.Tree) (*Report, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	return e.ApplyEdit(Edit{Op: OpSetNetParasitics, Net: net, Tree: tree})
+}
 
+func (e *Engine) setNetParasiticsLocked(net string, tree *rctree.Tree) (*Report, error) {
 	if !e.idx.HasNet(net) {
 		return nil, &EditError{Op: "set-net-parasitics", Target: net, Reason: "unknown net"}
 	}
@@ -290,7 +334,7 @@ func (e *Engine) SetNetParasitics(net string, tree *rctree.Tree) (*Report, error
 	e.graph = g2
 	d := newDirtySet()
 	e.touchNet(d, net)
-	return e.finishEdit("set-net-parasitics", d)
+	return e.commitEdit("set-net-parasitics", d), nil
 }
 
 // SetInputSlew overrides the input transition of one primary-input net (the
@@ -298,9 +342,10 @@ func (e *Engine) SetNetParasitics(net string, tree *rctree.Tree) (*Report, error
 // sta.Options.InputSlews, so a fresh analysis with the engine's Options
 // sees the identical boundary condition.
 func (e *Engine) SetInputSlew(net string, slew float64) (*Report, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	return e.ApplyEdit(Edit{Op: OpSetInputSlew, Net: net, Slew: slew})
+}
 
+func (e *Engine) setInputSlewLocked(net string, slew float64) (*Report, error) {
 	if !e.idx.IsInput(net) {
 		return nil, &EditError{Op: "set-input-slew", Target: net, Reason: "not a primary input"}
 	}
@@ -328,7 +373,7 @@ func (e *Engine) SetInputSlew(net string, slew float64) (*Report, error) {
 
 	d := newDirtySet()
 	d.inputs[net] = struct{}{}
-	return e.finishEdit("set-input-slew", d)
+	return e.commitEdit("set-input-slew", d), nil
 }
 
 // Options returns the engine's effective analysis options (including

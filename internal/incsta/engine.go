@@ -17,8 +17,9 @@
 // design — the consistency guarantee the property tests pin down.
 //
 // Concurrency model: edits are serialized on an internal mutex and publish
-// an immutable Snapshot; queries read the latest snapshot lock-free (see
-// Snapshot), which is what the long-lived timing server builds on. Edits
+// an immutable Snapshot (a batch of edits publishes once, at its end);
+// queries read the latest snapshot lock-free (see Snapshot), which is what
+// the long-lived timing server builds on. Edits
 // mutate the compiled graph copy-on-write (CloneForEdit), so a published
 // snapshot keeps a frozen consistent graph while later edits refresh a
 // private clone.
@@ -81,6 +82,9 @@ type Stats struct {
 	FullPasses uint64
 	// GateCount is the design size a full pass would evaluate.
 	GateCount uint64
+	// Publishes counts published snapshots: one per full pass, per
+	// ApplyEdit and per ApplyBatch that applied at least one edit.
+	Publishes uint64
 }
 
 // CacheHitRatio is the fraction of gate evaluations the incremental engine
@@ -279,6 +283,7 @@ func (e *Engine) rebuildLocked() error {
 	e.epts = eps
 	e.stats.FullPasses++
 	mFullPasses.Inc()
+	e.version++
 	return e.publishLocked()
 }
 
@@ -477,11 +482,11 @@ func (e *Engine) propagate(d *dirtySet) *Report {
 	return rep
 }
 
-// finishEdit runs propagation for a prepared dirty set, updates counters
-// and publishes a fresh snapshot. Compiled propagation cannot fail (all
-// structural resolution happened at compile time), so an edit that passed
-// validation always completes.
-func (e *Engine) finishEdit(op string, d *dirtySet) (*Report, error) {
+// commitEdit runs propagation for a prepared dirty set, updates counters
+// and advances the version; the caller publishes. Compiled propagation
+// cannot fail (all structural resolution happened at compile time), so an
+// edit that passed validation always completes.
+func (e *Engine) commitEdit(op string, d *dirtySet) *Report {
 	t0 := time.Now()
 	_, span := obs.StartSpan(context.Background(), "incsta_edit", obs.A("op", op))
 	defer span.End()
@@ -491,6 +496,8 @@ func (e *Engine) finishEdit(op string, d *dirtySet) (*Report, error) {
 	e.stats.GatesReevaluated += uint64(rep.Reevaluated)
 	e.stats.GatesCut += uint64(rep.Cut)
 	e.stats.EndpointsRecomputed += uint64(rep.Endpoints)
+	e.version++
+	rep.Version = e.version
 	mEdits.Inc()
 	hDirtyCone.Observe(float64(rep.Reevaluated))
 	hEpsilonCut.Observe(float64(rep.Cut))
@@ -498,10 +505,7 @@ func (e *Engine) finishEdit(op string, d *dirtySet) (*Report, error) {
 	span.SetAttr("reevaluated", rep.Reevaluated)
 	span.SetAttr("cut", rep.Cut)
 	span.SetAttr("endpoints", rep.Endpoints)
-	if err := e.publishLocked(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rep
 }
 
 // Stats returns the cumulative counters.

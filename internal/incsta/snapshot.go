@@ -26,11 +26,13 @@ type Snapshot struct {
 	version uint64
 }
 
-// publishLocked assembles and installs a fresh snapshot from the engine's
-// current state. Called with e.mu held. Publication is cheap: the compiled
-// graph is shared by pointer (edits clone before mutating), the endpoint
-// maps are shallow-copied (entry slices are replaced wholesale, never
-// appended to), and only the flat per-corner planes are copied.
+// publishLocked assembles and installs a fresh snapshot of the engine's
+// current state at e.version. Called with e.mu held. The compiled graph is
+// shared by pointer (edits clone before mutating) and the endpoint maps are
+// shallow-copied (entry slices are replaced wholesale, never appended to),
+// but the flat per-corner planes are copied and every corner's Result is
+// rebuilt, so a publish is O(design): edit bodies only advance the version,
+// and ApplyBatch publishes once for all of them.
 func (e *Engine) publishLocked() error {
 	flat := make([]*sta.FlatState, len(e.corners))
 	eps := make([]map[string][]sta.EndpointEntry, len(e.corners))
@@ -48,7 +50,7 @@ func (e *Engine) publishLocked() error {
 		}
 		results[ci] = res
 	}
-	e.version++
+	e.stats.Publishes++
 	e.snap.Store(&Snapshot{
 		corners: e.corners, graph: e.graph, flat: flat, eps: eps,
 		results: results, stats: e.stats, version: e.version,
@@ -215,7 +217,7 @@ func compareResults(fresh, inc *sta.Result, levels []int) error {
 	return comparePaths(fresh.Critical, inc.Critical)
 }
 
-// comparePaths checks two critical paths stage by stage.
+// comparePaths checks two critical paths stage by stage, every field.
 func comparePaths(fresh, inc *sta.Path) error {
 	if fresh.Endpoint != inc.Endpoint || fresh.Launch != inc.Launch {
 		return fmt.Errorf("incsta: verify: critical endpoint %s/%s vs fresh %s/%s",
@@ -227,12 +229,9 @@ func comparePaths(fresh, inc *sta.Path) error {
 	}
 	for i := range fresh.Stages {
 		f, c := &fresh.Stages[i], &inc.Stages[i]
-		if f.Cell != c.Cell || f.InPin != c.InPin || f.InEdge != c.InEdge || f.Net != c.Net {
-			return fmt.Errorf("incsta: verify: stage %d route %s/%s/%s@%s vs fresh %s/%s/%s@%s",
-				i, c.Cell, c.InPin, c.InEdge, c.Net, f.Cell, f.InPin, f.InEdge, f.Net)
-		}
-		if f.InSlew != c.InSlew || f.Load != c.Load || f.Elmore != c.Elmore || f.XW != c.XW {
-			return fmt.Errorf("incsta: verify: stage %d numerics diverge", i)
+		if field := sta.StageDiff(f, c); field != "" {
+			return fmt.Errorf("incsta: verify: stage %d %s/%s/%s@%s vs fresh %s/%s/%s@%s differs in %s",
+				i, c.Cell, c.InPin, c.InEdge, c.Net, f.Cell, f.InPin, f.InEdge, f.Net, field)
 		}
 	}
 	return nil

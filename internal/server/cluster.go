@@ -1589,35 +1589,32 @@ func (s *Server) recoverReplicas(ctx context.Context) {
 			_ = s.store.removeReplica(name)
 			continue
 		}
+		// Decode the tail as the log streams it, checking seq continuity;
+		// then replay it as one batch (one snapshot publish).
 		seq := snap.EditSeq
-		replayErr := error(nil)
+		var tail []incsta.Edit
 		rlog, _, err := s.store.openReplicaWAL(snap.Name, func(rseq uint64, payload []byte) error {
-			if rseq <= snap.EditSeq || replayErr != nil {
+			if rseq <= snap.EditSeq {
 				return nil
 			}
 			if rseq != seq+1 {
-				replayErr = fmt.Errorf("replica wal gap at %d (have %d)", rseq, seq)
-				return replayErr
+				return fmt.Errorf("replica wal gap at %d (have %d)", rseq, seq)
 			}
 			var ed incsta.Edit
 			if err := json.Unmarshal(payload, &ed); err != nil {
-				replayErr = err
-				return replayErr
+				return err
 			}
-			if _, err := eng.ApplyEdit(ed); err != nil {
-				// The owner only shipped successfully applied edits; a
-				// rejection here means the copy diverged.
-				replayErr = err
-				return replayErr
-			}
+			tail = append(tail, ed)
 			seq = rseq
 			return nil
 		})
-		if err != nil || replayErr != nil {
-			if err == nil {
+		if err == nil {
+			err = replayReplicaTail(eng, tail)
+			if err != nil {
 				rlog.Close()
-				err = replayErr
 			}
+		}
+		if err != nil {
 			s.log().Warn("discarding replica with broken edit tail", "design", name, "err", err)
 			_ = s.store.removeReplica(name)
 			continue
@@ -1633,6 +1630,22 @@ func (s *Server) recoverReplicas(ctx context.Context) {
 		recovered++
 	}
 	span.SetAttr("replicas", recovered)
+}
+
+// replayReplicaTail applies a replica's edit tail as one batch. The owner
+// only shipped successfully applied edits, so any rejection means the copy
+// diverged.
+func replayReplicaTail(eng *incsta.Engine, tail []incsta.Edit) error {
+	results, err := eng.ApplyBatch(tail)
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }
 
 // --- membership ---

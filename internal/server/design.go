@@ -73,6 +73,7 @@ type editReq struct {
 
 type editResult struct {
 	rep *incsta.Report
+	seq uint64 // replication seq assigned to an applied edit (0 if none)
 	err error
 }
 
@@ -166,10 +167,10 @@ func (d *design) applyOne(ed incsta.Edit) editResult {
 	seq := d.seq.Add(1)
 	if d.ship != nil {
 		if err := d.ship(seq, payload); err != nil {
-			return editResult{rep: rep, err: err}
+			return editResult{rep: rep, seq: seq, err: err}
 		}
 	}
-	return editResult{rep: rep}
+	return editResult{rep: rep, seq: seq}
 }
 
 // persist folds the current engine state into a durable snapshot and
@@ -258,31 +259,32 @@ func (d *design) capture() (*designSnapshot, error) {
 	}
 }
 
-// submit queues one edit and waits for its result. A full queue rejects
-// immediately with ErrOverloaded; cancellation of ctx abandons the wait (the
-// edit may still apply); a closed design returns ErrDesignClosed.
-func (d *design) submit(ctx context.Context, ed incsta.Edit) (*incsta.Report, error) {
+// submit queues one edit and waits for its report and the replication seq
+// the writer assigned it. A full queue rejects immediately with
+// ErrOverloaded; cancellation of ctx abandons the wait (the edit may still
+// apply); a closed design returns ErrDesignClosed.
+func (d *design) submit(ctx context.Context, ed incsta.Edit) (*incsta.Report, uint64, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	select {
 	case <-d.quit:
-		return nil, ErrDesignClosed
+		return nil, 0, ErrDesignClosed
 	default:
 	}
 	req := editReq{ed: ed, reply: make(chan editResult, 1)}
 	select {
 	case d.reqs <- req:
 	default:
-		return nil, ErrOverloaded
+		return nil, 0, ErrOverloaded
 	}
 	select {
 	case res := <-req.reply:
-		return res.rep, res.err
+		return res.rep, res.seq, res.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	case <-d.done:
-		return nil, ErrDesignClosed
+		return nil, 0, ErrDesignClosed
 	}
 }
 

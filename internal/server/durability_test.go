@@ -114,7 +114,7 @@ func TestRecoverAfterHardCrash(t *testing.T) {
 	// The recovered design keeps serving edits, and sequence numbers resume
 	// past the replayed tail.
 	d, _ := s2.design("c17")
-	if _, err := d.submit(context.Background(), incsta.Edit{Op: incsta.OpResize, Gate: "U6", Strength: 4}); err != nil {
+	if _, _, err := d.submit(context.Background(), incsta.Edit{Op: incsta.OpResize, Gate: "U6", Strength: 4}); err != nil {
 		t.Fatalf("edit after recovery: %v", err)
 	}
 }

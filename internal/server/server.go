@@ -704,8 +704,10 @@ func (s *Server) Recover(ctx context.Context) error {
 
 // recoverDesign rebuilds one design from its snapshot plus surviving WAL
 // tail. Records the snapshot already includes (seq <= WALSeq) are skipped;
-// edits the original submission rejected replay as the same typed rejection
-// and are skipped identically.
+// the rest are decoded as the log streams them and replayed as one engine
+// batch, which publishes a single snapshot instead of one per record. Edits
+// the original submission rejected replay as the same typed rejection and
+// are skipped identically.
 func (s *Server) recoverDesign(ctx context.Context, escapedName string) error {
 	ctx, span := obs.StartSpan(ctx, "server.recover.design")
 	defer span.End()
@@ -718,7 +720,8 @@ func (s *Server) recoverDesign(ctx context.Context, escapedName string) error {
 	if err != nil {
 		return fmt.Errorf("rebuild engine: %w", err)
 	}
-	replayed := 0
+	var tail []incsta.Edit
+	var seqs []uint64
 	dlog, res, err := s.store.openWAL(snap.Name, func(seq uint64, payload []byte) error {
 		if seq <= snap.WALSeq {
 			return nil
@@ -727,18 +730,29 @@ func (s *Server) recoverDesign(ctx context.Context, escapedName string) error {
 		if err := json.Unmarshal(payload, &ed); err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
-		if _, err := eng.ApplyEdit(ed); err != nil {
-			var ee *incsta.EditError
-			if errors.As(err, &ee) {
-				return nil // rejected originally, rejected again: state unchanged
-			}
-			return fmt.Errorf("wal record %d: %w", seq, err)
-		}
-		replayed++
+		tail = append(tail, ed)
+		seqs = append(seqs, seq)
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("open wal: %w", err)
+	}
+	results, err := eng.ApplyBatch(tail)
+	if err != nil {
+		dlog.Close()
+		return fmt.Errorf("wal replay: %w", err)
+	}
+	replayed := 0
+	for i, r := range results {
+		if r.Err != nil {
+			var ee *incsta.EditError
+			if errors.As(r.Err, &ee) {
+				continue // rejected originally, rejected again: state unchanged
+			}
+			dlog.Close()
+			return fmt.Errorf("wal record %d: %w", seqs[i], r.Err)
+		}
+		replayed++
 	}
 	// After a compaction the file is empty; keep appends past the snapshot's
 	// high-water mark so sequence numbers never recycle.
@@ -1250,7 +1264,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		Op: req.Op, Gate: req.Gate, Strength: req.Strength, Cell: req.Cell,
 		Net: req.Net, Slew: req.SlewPs * 1e-12, Tree: req.Tree,
 	}
-	rep, err := d.submit(r.Context(), ed)
+	rep, seq, err := d.submit(r.Context(), ed)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			mAdmissionRejected.Inc()
@@ -1262,13 +1276,15 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, code, "%v", err)
 		return
 	}
-	version := d.eng.Snapshot().Version()
+	// The version this edit produced, not whatever the design reads by the
+	// time the reply is written: concurrent edits never report the same one.
+	version := rep.Version
 	if s.node != nil {
-		// Cluster mode reports applied-edit seq + 1: identical to the engine
-		// version on an owner that never restarted, and — unlike the raw
-		// engine count, which resets on a rebuild — continuous across
-		// promotion and recovery.
-		version = d.seq.Load() + 1
+		// Cluster mode reports the edit's replication seq + 1: identical to
+		// the engine version on an owner that never restarted, and — unlike
+		// the raw engine count, which resets on a rebuild — continuous
+		// across promotion and recovery.
+		version = seq + 1
 	}
 	writeJSON(w, http.StatusOK, EditResponse{
 		Version: version, Op: rep.Op,

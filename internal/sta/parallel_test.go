@@ -55,7 +55,7 @@ func benchTimer(t testing.TB, circuit string) *Timer {
 }
 
 // assertResultsIdentical compares two results bitwise: every arrival
-// quantile, every endpoint, and the critical path stage by stage.
+// quantile, every endpoint, and every field of every critical-path stage.
 func assertResultsIdentical(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if want.Endpoints != got.Endpoints {
@@ -91,12 +91,9 @@ func assertResultsIdentical(t *testing.T, label string, want, got *Result) {
 	}
 	for i := range w.Stages {
 		ws, gs := &w.Stages[i], &g.Stages[i]
-		if ws.Cell != gs.Cell || ws.InPin != gs.InPin || ws.InEdge != gs.InEdge || ws.Net != gs.Net {
-			t.Fatalf("%s: critical stage %d route %s/%s/%s@%s vs %s/%s/%s@%s", label, i,
-				gs.Cell, gs.InPin, gs.InEdge, gs.Net, ws.Cell, ws.InPin, ws.InEdge, ws.Net)
-		}
-		if ws.InSlew != gs.InSlew || ws.Load != gs.Load || ws.Elmore != gs.Elmore || ws.XW != gs.XW {
-			t.Fatalf("%s: critical stage %d numerics diverge", label, i)
+		if f := StageDiff(ws, gs); f != "" {
+			t.Fatalf("%s: critical stage %d (%s/%s/%s@%s vs %s/%s/%s@%s) differs in %s", label, i,
+				gs.Cell, gs.InPin, gs.InEdge, gs.Net, ws.Cell, ws.InPin, ws.InEdge, ws.Net, f)
 		}
 	}
 	for n := range want.ArrivalQ {

@@ -82,6 +82,58 @@ type Stage struct {
 	LeafSlew    float64         // slew at the leaf (next stage's InSlew)
 }
 
+// StageDiff names the first field in which two stages differ, or returns ""
+// when they are bit-identical — the per-stage check of the bit-identity
+// comparators. Every field is compared except Tree, a pointer to the net's
+// parasitics whose values reach the stage through Elmore, XW, SinkLeaf and
+// LeafSlew.
+func StageDiff(a, b *Stage) string {
+	switch {
+	case a.GateIdx != b.GateIdx:
+		return "GateIdx"
+	case a.Cell != b.Cell:
+		return "Cell"
+	case a.InPin != b.InPin:
+		return "InPin"
+	case a.InEdge != b.InEdge:
+		return "InEdge"
+	case a.InSlew != b.InSlew:
+		return "InSlew"
+	case a.Load != b.Load:
+		return "Load"
+	case a.Net != b.Net:
+		return "Net"
+	case a.SinkLeaf != b.SinkLeaf:
+		return "SinkLeaf"
+	case a.SinkIdx != b.SinkIdx:
+		return "SinkIdx"
+	case a.SinkCell != b.SinkCell:
+		return "SinkCell"
+	case a.SinkPin != b.SinkPin:
+		return "SinkPin"
+	case a.SinkPinCap != b.SinkPinCap:
+		return "SinkPinCap"
+	case a.CellMoments != b.CellMoments:
+		return "CellMoments"
+	case len(a.CellQ) != len(b.CellQ) || (a.CellQ == nil) != (b.CellQ == nil):
+		return "CellQ"
+	case a.OutSlew != b.OutSlew:
+		return "OutSlew"
+	case a.Elmore != b.Elmore:
+		return "Elmore"
+	case a.XW != b.XW:
+		return "XW"
+	case a.LeafSlew != b.LeafSlew:
+		return "LeafSlew"
+	}
+	for n, q := range a.CellQ {
+		if bq, ok := b.CellQ[n]; !ok || bq != q {
+			return fmt.Sprintf("CellQ[%+d]", n)
+		}
+	}
+	return ""
+}
+
 // Path is an extracted timing path.
 type Path struct {
 	Launch   waveform.Edge // edge at the primary input
