@@ -1,6 +1,7 @@
 package incsta
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -131,7 +132,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 				}
 
 				whole := build(cfg)
-				got, err := whole.ApplyBatch(eds)
+				got, err := whole.ApplyBatch(eds, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +152,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 					if hi > len(eds) {
 						hi = len(eds)
 					}
-					res, err := chunked.ApplyBatch(eds[lo:hi])
+					res, err := chunked.ApplyBatch(eds[lo:hi], nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -214,7 +215,7 @@ func TestReportVersions(t *testing.T) {
 		{Op: OpResize, Gate: "nope", Strength: 2},
 		{Op: OpResize, Gate: "U1", Strength: 4}, // no-op
 		{Op: OpSetInputSlew, Net: "in", Slew: 30e-12},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +237,55 @@ func TestReportVersions(t *testing.T) {
 	}
 	// An all-rejected batch publishes nothing.
 	before := eng.Snapshot()
-	if _, err := eng.ApplyBatch([]Edit{{Op: OpResize, Gate: "nope", Strength: 2}}); err != nil {
+	if _, err := eng.ApplyBatch([]Edit{{Op: OpResize, Gate: "nope", Strength: 2}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Snapshot() != before {
 		t.Fatal("an all-rejected batch published a snapshot")
+	}
+}
+
+// TestApplyBatchCommitStep: the commit step sees every outcome before the
+// publish, a failing commit publishes nothing, an all-rejected batch never
+// calls it, and NewAt continues the version from the seq it is given.
+func TestApplyBatchCommitStep(t *testing.T) {
+	eng, _ := newTestEngine(t, diamond(), Config{})
+	before := eng.Snapshot()
+	calls := 0
+	errCommit := errors.New("commit failed")
+	res, err := eng.ApplyBatch([]Edit{{Op: OpResize, Gate: "U1", Strength: 4}}, func(r []EditResult) error {
+		calls++
+		if len(r) != 1 || r[0].Err != nil || r[0].Report.Version != 2 {
+			t.Fatalf("commit saw %+v", r)
+		}
+		if eng.Snapshot() != before {
+			t.Fatal("published before the commit step")
+		}
+		return errCommit
+	})
+	if !errors.Is(err, errCommit) || calls != 1 || res[0].Report == nil {
+		t.Fatalf("ApplyBatch = %v after %d commits, want the commit error", err, calls)
+	}
+	if eng.Snapshot() != before {
+		t.Fatal("a failed commit published a snapshot")
+	}
+	if _, err := eng.ApplyBatch([]Edit{{Op: OpResize, Gate: "nope", Strength: 2}}, func([]EditResult) error {
+		t.Fatal("commit called for an all-rejected batch")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	nl := diamond()
+	lib := fullLib()
+	at, err := NewAt(lib, nl, buildTrees(nl, lib), Config{}, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := at.Snapshot().Version(); v != 42 {
+		t.Fatalf("NewAt(41) published version %d, want 42", v)
+	}
+	if rep, err := at.ResizeCell("U1", 4); err != nil || rep.Version != 43 {
+		t.Fatalf("first edit after NewAt(41): %+v, %v; want version 43", rep, err)
 	}
 }

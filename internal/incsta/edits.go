@@ -64,18 +64,23 @@ type EditResult struct {
 }
 
 // ApplyBatch applies eds in order under one hold of the engine lock and
-// publishes one snapshot at the end — WAL recovery's replay entry point.
-// Each edit gets the Report or rejection ApplyEdit would have returned for
-// it in the same sequence, and the published Version and Stats (Publishes
-// aside) equal what that sequence leaves: applied edits, no-ops included,
-// each advance the version; rejections leave the engine untouched. The
-// snapshots of intermediate versions are never built. A batch in which
-// every edit is rejected publishes nothing.
+// publishes one snapshot at the end. Each edit gets the Report or rejection
+// ApplyEdit would have returned for it in the same sequence, and the
+// published Version and Stats (Publishes aside) equal what that sequence
+// leaves: applied edits, no-ops included, each advance the version;
+// rejections leave the engine untouched. The snapshots of intermediate
+// versions are never built. A batch in which every edit is rejected
+// publishes nothing.
 //
-// The returned error is a publication failure: the edits are then applied
-// to the engine's state (the next publication carries them) but the
-// current snapshot still shows the state before the batch.
-func (e *Engine) ApplyBatch(eds []Edit) ([]EditResult, error) {
+// commit, when non-nil, runs under the lock after the batch applied at
+// least one edit and before the publish, with every edit's outcome: the
+// step that makes the applied edits durable (the server's WAL append). A
+// commit error is returned and nothing is published.
+//
+// The returned error is a commit or publication failure: the edits are
+// then applied to the engine's state but the current snapshot still shows
+// the state before the batch.
+func (e *Engine) ApplyBatch(eds []Edit, commit func([]EditResult) error) ([]EditResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]EditResult, len(eds))
@@ -88,15 +93,19 @@ func (e *Engine) ApplyBatch(eds []Edit) ([]EditResult, error) {
 	if !applied {
 		return out, nil
 	}
+	if commit != nil {
+		if err := commit(out); err != nil {
+			return out, err
+		}
+	}
 	return out, e.publishLocked()
 }
 
 // ApplyEdit applies one serialized Edit and publishes its snapshot: a
-// one-edit ApplyBatch, and the path every typed edit method takes.
-// Rejections are *EditError values, so a replayer can skip exactly the
-// edits the original submission rejected.
+// one-edit ApplyBatch without a commit step, and the path every typed edit
+// method takes. Rejections are *EditError values.
 func (e *Engine) ApplyEdit(ed Edit) (*Report, error) {
-	res, err := e.ApplyBatch([]Edit{ed})
+	res, err := e.ApplyBatch([]Edit{ed}, nil)
 	if err != nil {
 		return nil, err
 	}

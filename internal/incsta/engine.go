@@ -142,8 +142,16 @@ type Engine struct {
 }
 
 // New builds an engine over a copy of the netlist and parasitics (the
-// caller's values are never mutated) and runs the initial full propagation.
+// caller's values are never mutated) and runs the initial full propagation,
+// published as version 1.
 func New(lib *timinglib.File, nl *netlist.Netlist, trees map[string]*rctree.Tree, cfg Config) (*Engine, error) {
+	return NewAt(lib, nl, trees, cfg, 0)
+}
+
+// NewAt is New for a design that already includes seq applied edits (a
+// recovered or shipped copy): its initial analysis is published as version
+// seq+1, so the version keeps counting edits across rebuilds.
+func NewAt(lib *timinglib.File, nl *netlist.Netlist, trees map[string]*rctree.Tree, cfg Config, seq uint64) (*Engine, error) {
 	if cfg.Epsilon < 0 {
 		return nil, &EditError{Op: "new", Reason: fmt.Sprintf("negative epsilon %g", cfg.Epsilon)}
 	}
@@ -197,7 +205,8 @@ func New(lib *timinglib.File, nl *netlist.Netlist, trees map[string]*rctree.Tree
 		lib: lib, nl: nlCopy, idx: idx, trees: treeCopy, timer: timer,
 		eps: cfg.Epsilon, order: order, pos: pos, lvl: lvl,
 		corners: corners, par: par,
-		stats: Stats{GateCount: uint64(len(nlCopy.Gates))},
+		stats:   Stats{GateCount: uint64(len(nlCopy.Gates))},
+		version: seq,
 	}
 	if err := e.rebuildLocked(); err != nil {
 		return nil, err

@@ -15,9 +15,10 @@ import (
 	"repro/internal/wal/faultfs"
 )
 
-// TestRecoverReplaysTailAsOneBatch: a WAL tail interleaving accepted and
-// rejected records recovers with bit-identical slacks, the same engine
-// version and edit count, and exactly one publish for the whole replay.
+// TestRecoverReplaysTailAsOneBatch: an edit stream interleaving accepted
+// and rejected edits (only the accepted ones reach the WAL) recovers with
+// bit-identical slacks, the same engine version and edit count, and exactly
+// one publish for the whole replay.
 func TestRecoverReplaysTailAsOneBatch(t *testing.T) {
 	fs := faultfs.New()
 	s, ts := newDurableServer(t, fs)
@@ -72,15 +73,15 @@ func replicaFixture(t *testing.T, tail []incsta.Edit) (*faultfs.FS, *designSnaps
 	s, ts := newDurableServer(t, faultfs.New())
 	loadC17(t, ts)
 	d, _ := s.design("c17")
-	base := snapshotOf("c17", d.eng, 0)
+	base := snapshotOf("c17", d.eng)
 	base.EditSeq, base.Epoch = 5, 2
 
 	fs := faultfs.New()
 	st := NewStore(fs, "data", StoreConfig{Policy: wal.SyncAlways})
-	if err := st.saveReplicaSnapshot(base); err != nil {
+	if err := st.saveSnapshot(replicaSub, base.Name, base); err != nil {
 		t.Fatal(err)
 	}
-	rlog, _, err := st.openReplicaWAL("c17", nil)
+	rlog, _, err := st.openWAL(replicaSub, "c17", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRecoverReplicaReplaysTailAsOneBatch(t *testing.T) {
 	if ok {
 		t.Fatal("replica with a rejected edit in its tail was kept")
 	}
-	if left, err := s.store.listReplicas(); err != nil || len(left) != 0 {
+	if left, err := s.store.list(replicaSub); err != nil || len(left) != 0 {
 		t.Fatalf("discarded replica left %v on disk (err %v)", left, err)
 	}
 }
@@ -295,7 +296,7 @@ func TestConcurrentEditVersionsMatchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := ref.ApplyBatch(tail)
+	results, err := ref.ApplyBatch(tail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,21 +56,28 @@ var errUnreplicated = errors.New("server: edit not acknowledged by any replica")
 // owner's help.
 type replicaState struct {
 	mu       sync.Mutex
-	eng      *incsta.Engine
-	seq      uint64   // owner's edit sequence this state reproduces
-	epoch    uint64   // ownership epoch the state was shipped under
-	from     string   // owner that shipped it (introspection)
-	log      *wal.Log // nil = in-memory replica
-	ingested int      // edits appended since the last durable compaction
+	eng      *incsta.Engine // publishes version seq+1, like the owner's
+	epoch    uint64         // ownership epoch the state was shipped under
+	from     string         // owner that shipped it (introspection)
+	log      *wal.Log       // nil = in-memory replica
+	ingested int            // edits appended since the last durable compaction
 }
 
-// view returns the engine, replicated sequence and epoch coherently. The
-// engine is nil after the state was transferred away by a promotion.
+// view returns the engine, the copy's seq and its epoch coherently. The
+// engine is nil after the state was transferred away by a promotion or
+// discarded.
 func (rs *replicaState) view() (*incsta.Engine, uint64, uint64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return rs.eng, rs.seq, rs.epoch
+	if rs.eng == nil {
+		return nil, 0, rs.epoch
+	}
+	return rs.eng, rs.seqLocked(), rs.epoch
 }
+
+// seqLocked is the copy's seq: the owner's edits its published state
+// includes. Called with rs.mu held and rs.eng set.
+func (rs *replicaState) seqLocked() uint64 { return rs.eng.Snapshot().Version() - 1 }
 
 // --- versioned internal wire types (see API.md "Cluster-internal API") ---
 
@@ -265,8 +272,9 @@ func (s *Server) replica(name string) *replicaState {
 }
 
 // serveReplica answers a read from the shipped copy, with the same
-// ready-gating, timeout, admission and metrics treatment the mux applies,
-// and the replicated edit sequence reported as the payload version.
+// ready-gating, timeout, admission and metrics treatment the mux applies.
+// The copy's engine counts versions like the owner's, so every answer
+// reports the version of the snapshot it was computed from.
 func (s *Server) serveReplica(w http.ResponseWriter, r *http.Request, name string) {
 	t0 := time.Now()
 	sub := strings.TrimPrefix(r.URL.Path, "/v1/designs/")
@@ -275,19 +283,9 @@ func (s *Server) serveReplica(w http.ResponseWriter, r *http.Request, name strin
 	} else {
 		sub = ""
 	}
-	var pattern string
-	switch {
-	case r.Method == http.MethodGet && sub == "":
-		pattern = "GET /v1/designs/{name}"
-	case r.Method == http.MethodGet && sub == "/gates":
-		pattern = "GET /v1/designs/{name}/gates"
-	case r.Method == http.MethodGet && sub == "/paths":
-		pattern = "GET /v1/designs/{name}/paths"
-	case r.Method == http.MethodGet && sub == "/slacks":
-		pattern = "GET /v1/designs/{name}/slacks"
-	case r.Method == http.MethodPost && sub == "/batch":
-		pattern = "POST /v1/designs/{name}/batch"
-	default:
+	pattern := r.Method + " /v1/designs/{name}" + sub
+	serve, ok := s.reads[pattern]
+	if !ok {
 		httpError(w, http.StatusNotFound, codeUnknownRoute, "no such route: %s %s", r.Method, r.URL.Path)
 		s.met.observe(r, r.Method+" "+r.URL.Path, t0)
 		return
@@ -303,45 +301,19 @@ func (s *Server) serveReplica(w http.ResponseWriter, r *http.Request, name strin
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
-	rep := s.replica(name)
-	if rep == nil {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", name)
-		return
+	var eng *incsta.Engine
+	if rep := s.replica(name); rep != nil {
+		eng, _, _ = rep.view()
 	}
-	eng, seq, _ := rep.view()
 	if eng == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", name)
 		return
 	}
-	// A replica-held design gets a thin design shell: the payload builders
-	// only touch name and engine; its edit machinery stays nil because edits
+	// A replica-held design gets a thin design shell: the read routes only
+	// touch name and engine; its edit machinery stays nil because edits
 	// never route here.
 	d := &design{name: name, eng: eng}
-	snap := eng.Snapshot()
-	if pattern != "POST /v1/designs/{name}/batch" && s.adm != nil {
-		if !s.adm.acquire(r.Context(), 1) {
-			mAdmissionRejected.Inc()
-			retryAfter(w, s.adm.maxWait)
-			httpError(w, http.StatusServiceUnavailable, codeOverloaded, "server at concurrent-query capacity")
-			return
-		}
-		defer s.adm.release(1)
-	}
-	// Version reporting matches the owner: replicated edits + 1 (the initial
-	// full analysis), regardless of what the rebuilt engine counts.
-	version := seq + 1
-	switch pattern {
-	case "GET /v1/designs/{name}":
-		s.serveSummary(w, r, d, snap, version)
-	case "GET /v1/designs/{name}/gates":
-		s.serveGates(w, d)
-	case "GET /v1/designs/{name}/paths":
-		s.servePaths(w, r, d, snap, version)
-	case "GET /v1/designs/{name}/slacks":
-		s.serveSlacks(w, r, snap, version)
-	case "POST /v1/designs/{name}/batch":
-		s.serveBatch(w, r, d, snap, version)
-	}
+	s.admittedRead(pattern, func(w http.ResponseWriter, r *http.Request) { serve(w, r, d) })(w, r)
 }
 
 // forward routes a request this node cannot serve to target (the design's
@@ -586,8 +558,12 @@ func (s *Server) shipEdit(d *design, seq uint64, payload []byte) error {
 			// reports, a non-applied response never stands in for an ack:
 			// repair with a full snapshot ship and count the ack only if that
 			// lands. captureLocked (not capture) — we ARE the writer
-			// goroutine the capture channel is served by.
-			if err := s.shipSnapshotTo(context.Background(), d.name, d.captureLocked(), peer); err != nil {
+			// goroutine capture would wait on.
+			snap, err := d.captureLocked()
+			if err == nil {
+				err = s.shipSnapshotTo(context.Background(), d.name, snap, peer)
+			}
+			if err != nil {
 				if errors.Is(err, errStaleEpoch) {
 					s.fenceFromStale(d, epoch+1)
 					return errStaleEpoch
@@ -648,7 +624,7 @@ func (s *Server) shipDesign(d *design) {
 	}
 	snap, err := d.capture()
 	if err != nil {
-		return // design closed
+		return // design closed or failed
 	}
 	seq := snap.EditSeq
 	iv := s.node.ReplicateInterval()
@@ -895,15 +871,16 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// proceed independently.
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.eng != nil && rep.epoch == req.Epoch && req.Seq <= rep.seq {
+	if rep.eng != nil && rep.epoch == req.Epoch && req.Seq <= rep.seqLocked() {
 		s.node.NoteReplicateSkipped()
-		writeJSON(w, http.StatusOK, replicateResponse{Design: name, Seq: rep.seq, Applied: false})
+		writeJSON(w, http.StatusOK, replicateResponse{Design: name, Seq: rep.seqLocked(), Applied: false})
 		return
 	}
 	if rep.eng != nil && rep.epoch > req.Epoch {
 		s.writeStaleEpoch(w, name, cluster.LeaseInfo{Owner: rep.from, Epoch: rep.epoch})
 		return
 	}
+	req.Snapshot.EditSeq, req.Snapshot.Epoch = req.Seq, req.Epoch
 	eng, err := rebuildEngine(s.lib, req.Snapshot)
 	if err != nil {
 		httpErrorDetail(w, http.StatusUnprocessableEntity, codeUnprocessable,
@@ -911,35 +888,49 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store != nil {
-		req.Snapshot.EditSeq, req.Snapshot.Epoch = req.Seq, req.Epoch
-		if err := s.store.saveReplicaSnapshot(req.Snapshot); err != nil {
+		if err := s.installReplicaLocked(rep, req.Snapshot); err != nil {
+			s.discardReplicaLocked(name, rep)
 			httpErrorDetail(w, http.StatusInternalServerError, codeInternal,
 				"persisting replica snapshot", err)
 			return
 		}
-		if rep.log == nil {
-			if rlog, _, err := s.store.openReplicaWAL(name, nil); err == nil {
-				rep.log = rlog
-			}
-		}
-		if rep.log != nil {
-			// The snapshot covers everything: reset the tail, keep sequence
-			// numbers aligned with the owner's edit stream.
-			_ = rep.log.TruncateAll()
-			rep.log.EnsureSeq(req.Seq)
-		}
 	}
-	rep.eng, rep.seq, rep.epoch, rep.from, rep.ingested = eng, req.Seq, req.Epoch, req.From, 0
+	rep.eng, rep.epoch, rep.from, rep.ingested = eng, req.Epoch, req.From, 0
 	s.node.NoteReplicateApplied()
 	writeJSON(w, http.StatusOK, replicateResponse{Design: name, Seq: req.Seq, Applied: true})
+}
+
+// installReplicaLocked makes a shipped snapshot the replica's durable state
+// and opens its log at the snapshot's seq. A tail in the current log holds
+// acknowledged edits, so the current copy is checkpointed first: install
+// drops the log before the new snapshot lands. Called with rep.mu held.
+func (s *Server) installReplicaLocked(rep *replicaState, snap *designSnapshot) error {
+	if rep.log != nil && rep.log.Size() > 0 && rep.eng != nil {
+		cur := snapshotOf(snap.Name, rep.eng)
+		cur.Epoch = rep.epoch
+		if err := s.store.checkpoint(replicaSub, cur, rep.log); err != nil {
+			return err
+		}
+	}
+	if rep.log != nil {
+		rep.log.Close()
+		rep.log = nil
+	}
+	lg, err := s.store.install(replicaSub, snap)
+	if err != nil {
+		return err
+	}
+	rep.log = lg
+	return nil
 }
 
 // handleReplicateEdits applies one streamed edit to the local replica copy.
 // The edit applies only at exactly (replica epoch, replica seq + 1); a
 // duplicate acks as applied, a gap or epoch change acks applied=false and
-// the owner repairs with a full snapshot ship. Durable replicas append the
-// edit to their WAL (aligned with the owner's sequence numbers) before
-// applying, and compact periodically.
+// the owner repairs with a full snapshot ship. The edit takes the owner's
+// path: apply, then (durable replicas) append to the WAL under the same seq
+// with the owner's payload bytes, then publish. A replica whose append
+// fails discards its copy, and the owner's repair ships a snapshot.
 func (s *Server) handleReplicateEdits(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var req editsRequest
@@ -980,24 +971,26 @@ func (s *Server) handleReplicateEdits(w http.ResponseWriter, r *http.Request) {
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	switch {
-	case rep.eng == nil:
+	if rep.eng == nil {
 		writeJSON(w, http.StatusOK, editsResponse{Design: name, Applied: false})
 		return
+	}
+	seq := rep.seqLocked()
+	switch {
 	case rep.epoch > req.Epoch:
 		s.writeStaleEpoch(w, name, cluster.LeaseInfo{Owner: rep.from, Epoch: rep.epoch})
 		return
 	case rep.epoch < req.Epoch:
 		// Our base predates the sender's epoch: need a fresh snapshot.
-		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: rep.seq, Applied: false})
+		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: seq, Applied: false})
 		return
-	case req.Seq <= rep.seq:
+	case req.Seq <= seq:
 		// Duplicate delivery (owner retry): already folded in.
-		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: rep.seq, Applied: true})
+		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: seq, Applied: true})
 		return
-	case req.Seq != rep.seq+1:
+	case req.Seq != seq+1:
 		// Gap: the owner falls back to a snapshot ship.
-		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: rep.seq, Applied: false})
+		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: seq, Applied: false})
 		return
 	}
 	var ed incsta.Edit
@@ -1005,56 +998,64 @@ func (s *Server) handleReplicateEdits(w http.ResponseWriter, r *http.Request) {
 		httpErrorDetail(w, http.StatusBadRequest, codeInvalidRequest, "bad edit payload", err)
 		return
 	}
+	var commit func([]incsta.EditResult) error
 	if rep.log != nil {
-		// WAL-first, aligned with the owner's sequence numbering so the
-		// replayed tail means the same thing on both sides.
-		rep.log.EnsureSeq(req.Seq - 1)
-		if _, err := rep.log.Append(req.Payload); err != nil {
-			httpErrorDetail(w, http.StatusInternalServerError, codeInternal, "replica wal append", err)
-			return
-		}
+		commit = logCommit(rep.log, req.Payload)
 	}
-	if _, err := rep.eng.ApplyEdit(ed); err != nil {
-		// The owner only ships edits it applied successfully; a divergent
-		// rejection here means the copies disagree — ask for a snapshot.
-		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: rep.seq, Applied: false})
+	res, err := rep.eng.ApplyBatch([]incsta.Edit{ed}, commit)
+	if err != nil {
+		// The copy's log failed, so its durable state may lack what its
+		// engine holds: discard it.
+		s.log().Warn("discarding replica after a wal failure", "design", name, "err", err)
+		s.discardReplicaLocked(name, rep)
+		writeJSON(w, http.StatusOK, editsResponse{Design: name, Applied: false})
 		return
 	}
-	rep.seq = req.Seq
+	if res[0].Err != nil {
+		// The owner only ships edits it applied successfully; a divergent
+		// rejection here means the copies disagree — ask for a snapshot.
+		writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: seq, Applied: false})
+		return
+	}
 	rep.from = req.From
 	rep.ingested++
 	if s.store != nil && rep.ingested >= replicaCompactEvery {
-		snap := snapshotOf(name, rep.eng, 0)
-		snap.EditSeq, snap.Epoch = rep.seq, rep.epoch
-		if err := s.store.saveReplicaSnapshot(snap); err == nil {
-			if rep.log != nil {
-				_ = rep.log.TruncateAll()
-				rep.log.EnsureSeq(rep.seq)
-			}
+		snap := snapshotOf(name, rep.eng)
+		snap.Epoch = rep.epoch
+		if err := s.store.checkpoint(replicaSub, snap, rep.log); err == nil {
 			rep.ingested = 0
 		}
 	}
 	s.node.NoteReplicateApplied()
-	writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: rep.seq, Applied: true})
+	writeJSON(w, http.StatusOK, editsResponse{Design: name, Seq: req.Seq, Applied: true})
 }
 
 // dropReplica removes a replica copy, its WAL handle and its durable state.
 func (s *Server) dropReplica(name string) {
-	s.repMu.Lock()
-	rep := s.reps[name]
-	delete(s.reps, name)
-	s.repMu.Unlock()
-	if rep != nil {
+	if rep := s.replica(name); rep != nil {
 		rep.mu.Lock()
-		if rep.log != nil {
-			rep.log.Close()
-			rep.log = nil
-		}
-		rep.eng = nil
+		s.discardReplicaLocked(name, rep)
 		rep.mu.Unlock()
+	} else if s.store != nil {
+		_ = s.store.remove(replicaSub, name)
 	}
+}
+
+// discardReplicaLocked closes a replica copy's log, unpublishes the copy
+// and removes its durable state. Called with rep.mu held.
+func (s *Server) discardReplicaLocked(name string, rep *replicaState) {
+	if rep.log != nil {
+		rep.log.Close()
+		rep.log = nil
+	}
+	rep.eng = nil
+	s.repMu.Lock()
+	if s.reps[name] == rep {
+		delete(s.reps, name)
+	}
+	s.repMu.Unlock()
 	if s.store != nil {
-		_ = s.store.removeReplica(name)
+		_ = s.store.remove(replicaSub, name)
 	}
 }
 
@@ -1112,7 +1113,7 @@ func (s *Server) demoteDesign(d *design) {
 	s.mu.Unlock()
 	d.close()
 	if s.store != nil {
-		_ = s.store.removeDesign(d.name)
+		_ = s.store.remove(ownerSub, d.name)
 	}
 	s.log().Info("design demoted", "design", d.name, "epoch", d.epoch.Load())
 }
@@ -1124,7 +1125,7 @@ func (s *Server) demoteDesign(d *design) {
 // not) and the replica copy.
 func (s *Server) localBasis(name string) (epoch, seq uint64) {
 	if d, ok := s.design(name); ok {
-		epoch, seq = d.epoch.Load(), d.seq.Load()
+		epoch, seq = d.epoch.Load(), d.seq()
 	}
 	if rep := s.replica(name); rep != nil {
 		if eng, rseq, repoch := rep.view(); eng != nil {
@@ -1415,7 +1416,7 @@ func (s *Server) promoteTick() {
 			continue
 		}
 		epoch := s.leases.NextEpoch(d.name)
-		if s.claimLease(d.name, epoch, d.epoch.Load(), d.seq.Load()) {
+		if s.claimLease(d.name, epoch, d.epoch.Load(), d.seq()) {
 			s.promoteOwned(d, epoch)
 		}
 	}
@@ -1490,34 +1491,30 @@ func (s *Server) promoteOwned(d *design, epoch uint64) {
 
 // promoteReplica turns this node's replica copy of name into the owned
 // design under a freshly won epoch: persist an owner-side snapshot at the
-// replicated sequence, transfer the engine into a new single-writer design,
-// publish it, and ship the new epoch to the replica set. Bit-identical to a
-// single-node replay of the acked edit stream — the engine IS that replay.
+// copy's seq, transfer the engine into a new single-writer design, publish
+// it, and ship the new epoch to the replica set. Bit-identical to a
+// single-node replay of the acked edit stream — the engine IS that replay —
+// and it keeps counting versions where the owner left off.
 func (s *Server) promoteReplica(name string, rep *replicaState, epoch uint64) {
 	rep.mu.Lock()
-	eng, seq := rep.eng, rep.seq
+	eng := rep.eng
 	if eng == nil {
 		rep.mu.Unlock()
 		return
 	}
+	seq := rep.seqLocked()
 	var dlog *wal.Log
 	if s.store != nil {
-		snap := snapshotOf(name, eng, 0)
-		snap.EditSeq, snap.Epoch = seq, epoch
-		if err := s.store.saveSnapshot(snap); err != nil {
-			rep.mu.Unlock()
-			s.log().Error("promotion aborted: cannot persist owner snapshot", "design", name, "err", err)
-			return
-		}
+		snap := snapshotOf(name, eng)
+		snap.Epoch = epoch
+		// install also drops any owner WAL debris from a previous ownership
+		// of this name: it predates the snapshot and must not replay.
 		var err error
-		if dlog, _, err = s.store.openWAL(name, nil); err != nil {
+		if dlog, err = s.store.install(ownerSub, snap); err != nil {
 			rep.mu.Unlock()
-			s.log().Error("promotion aborted: cannot open owner wal", "design", name, "err", err)
+			s.log().Error("promotion aborted: cannot persist owner copy", "design", name, "err", err)
 			return
 		}
-		// Any WAL debris from a previous ownership of this name predates the
-		// snapshot we just wrote; replaying it would corrupt the state.
-		_ = dlog.TruncateAll()
 	}
 	if rep.log != nil {
 		rep.log.Close()
@@ -1529,11 +1526,10 @@ func (s *Server) promoteReplica(name string, rep *replicaState, epoch uint64) {
 	delete(s.reps, name)
 	s.repMu.Unlock()
 	if s.store != nil {
-		_ = s.store.removeReplica(name)
+		_ = s.store.remove(replicaSub, name)
 	}
 
 	d := newDesign(name, eng, dlog, s.store, s.queueDepth)
-	d.seq.Store(seq)
 	d.epoch.Store(epoch)
 	s.attachCluster(d)
 	s.mu.Lock()
@@ -1556,17 +1552,17 @@ func (s *Server) promoteReplica(name string, rep *replicaState, epoch uint64) {
 	}()
 }
 
-// recoverReplicas rebuilds the replica copies persisted under replicas/:
-// snapshot plus replicated edit tail. A replica that fails to rebuild is
-// discarded (it re-converges from the owner's next ship) rather than
-// failing recovery of the whole node.
+// recoverReplicas rebuilds the replica copies persisted under replicas/
+// through recoverCopy. A copy that fails to recover is discarded (it
+// re-converges from the owner's next ship) rather than failing recovery of
+// the whole node.
 func (s *Server) recoverReplicas(ctx context.Context) {
 	if s.store == nil || s.node == nil {
 		return
 	}
-	_, span := obs.StartSpan(ctx, "server.recover.replicas")
+	ctx, span := obs.StartSpan(ctx, "server.recover.replicas")
 	defer span.End()
-	escaped, err := s.store.listReplicas()
+	escaped, err := s.store.list(replicaSub)
 	if err != nil {
 		s.log().Error("listing persisted replicas", "err", err)
 		return
@@ -1577,50 +1573,13 @@ func (s *Server) recoverReplicas(ctx context.Context) {
 		if n, derr := url.PathUnescape(esc); derr == nil {
 			name = n
 		}
-		snap, err := s.store.loadReplicaSnapshot(esc)
+		snap, eng, rlog, err := s.recoverCopy(ctx, replicaSub, esc)
 		if err != nil {
-			s.log().Warn("discarding unreadable replica", "design", name, "err", err)
-			_ = s.store.removeReplica(name)
+			s.log().Warn("discarding replica", "design", name, "err", err)
+			_ = s.store.remove(replicaSub, name)
 			continue
 		}
-		eng, err := rebuildEngine(s.lib, snap)
-		if err != nil {
-			s.log().Warn("discarding unrebuildable replica", "design", name, "err", err)
-			_ = s.store.removeReplica(name)
-			continue
-		}
-		// Decode the tail as the log streams it, checking seq continuity;
-		// then replay it as one batch (one snapshot publish).
-		seq := snap.EditSeq
-		var tail []incsta.Edit
-		rlog, _, err := s.store.openReplicaWAL(snap.Name, func(rseq uint64, payload []byte) error {
-			if rseq <= snap.EditSeq {
-				return nil
-			}
-			if rseq != seq+1 {
-				return fmt.Errorf("replica wal gap at %d (have %d)", rseq, seq)
-			}
-			var ed incsta.Edit
-			if err := json.Unmarshal(payload, &ed); err != nil {
-				return err
-			}
-			tail = append(tail, ed)
-			seq = rseq
-			return nil
-		})
-		if err == nil {
-			err = replayReplicaTail(eng, tail)
-			if err != nil {
-				rlog.Close()
-			}
-		}
-		if err != nil {
-			s.log().Warn("discarding replica with broken edit tail", "design", name, "err", err)
-			_ = s.store.removeReplica(name)
-			continue
-		}
-		rlog.EnsureSeq(seq)
-		rep := &replicaState{eng: eng, seq: seq, epoch: snap.Epoch, log: rlog}
+		rep := &replicaState{eng: eng, epoch: snap.Epoch, log: rlog}
 		s.repMu.Lock()
 		s.reps[snap.Name] = rep
 		s.repMu.Unlock()
@@ -1630,22 +1589,6 @@ func (s *Server) recoverReplicas(ctx context.Context) {
 		recovered++
 	}
 	span.SetAttr("replicas", recovered)
-}
-
-// replayReplicaTail applies a replica's edit tail as one batch. The owner
-// only shipped successfully applied edits, so any rejection means the copy
-// diverged.
-func replayReplicaTail(eng *incsta.Engine, tail []incsta.Edit) error {
-	results, err := eng.ApplyBatch(tail)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }
 
 // --- membership ---
@@ -1759,7 +1702,7 @@ func (s *Server) handleClusterDesign(w http.ResponseWriter, r *http.Request) {
 		"ring":   map[string]any{"owner": ringOwner, "replicas": ringReplicas},
 	}
 	if d, ok := s.design(name); ok {
-		seq := d.seq.Load()
+		seq := d.seq()
 		local := map[string]any{
 			"role": "owner", "seq": seq, "epoch": d.epoch.Load(), "fenced": d.fenced.Load(),
 		}

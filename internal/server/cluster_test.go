@@ -228,7 +228,7 @@ func TestClusterProxyReplicationAndBitIdentity(t *testing.T) {
 		if !ok {
 			t.Fatal("owner lost the design")
 		}
-		if _, seq, _ := rep.view(); seq != d.seq.Load() {
+		if _, seq, _ := rep.view(); seq != d.seq() {
 			return false
 		}
 		var code int
@@ -342,6 +342,6 @@ func TestClusterSurvivesReplicaKill(t *testing.T) {
 			return false
 		}
 		_, seq, _ := rep.view()
-		return seq == d.seq.Load()
+		return seq == d.seq()
 	})
 }

@@ -25,36 +25,49 @@ var ErrOverloaded = errors.New("server: edit queue full")
 // defaultEditQueueDepth bounds each design's pending-edit buffer.
 const defaultEditQueueDepth = 64
 
+// errInDoubt answers the edit whose commit step failed (its WAL append, or
+// the publish after it): the record may have reached the disk, so the edit
+// may survive a crash.
+var errInDoubt = errors.New("server: edit in doubt (it may survive a crash): the design refuses edits until a restart recovers it")
+
+// errFailStopped refuses every edit after an in-doubt one.
+var errFailStopped = errors.New("server: design stopped after a WAL failure; edits are refused until a restart recovers it from disk")
+
 // design pairs an incremental engine with its serialized edit queue and
 // (when the server has a Store) its write-ahead log. The engine itself is
 // safe for concurrent edits, but the queue gives the HTTP layer one writer
 // per design, edits applied strictly in arrival order, while read queries go
 // straight to the engine's lock-free snapshots.
 //
-// Durability discipline (WAL-first): the writer appends the edit record to
-// the log — durable per the fsync policy — before applying it to the engine,
-// and acknowledges only after both. Rejected edits stay in the log; replay
-// re-rejects them identically, so recovery is a pure replay of the record
-// prefix that survived.
+// Durability discipline (apply, log, publish): the writer applies an edit
+// to the engine's unpublished state, appends it to the log only if the
+// engine accepted it, then publishes, ships and acknowledges. A rejected
+// edit writes nothing. So the log holds exactly the accepted edits, and its
+// record seqs are the design's seq space: the record numbered n took the
+// design to version n+1, on this node, on its replicas and after any
+// restart. A failed append fail-stops the design instead of rolling back:
+// the edit is answered in doubt, every later edit is refused, no
+// checkpoint or drain snapshot is written, and reads keep the last
+// published snapshot, which is durable. A restart recovers from disk.
 type design struct {
 	name  string
 	eng   *incsta.Engine
 	log   *wal.Log // nil = in-memory only
 	store *Store   // nil = in-memory only
 	reqs  chan editReq
-	snaps chan chan error
-	caps  chan chan *designSnapshot
+	calls chan func() // work run on the writer goroutine (onWriter)
 	quit  chan struct{}
 	done  chan struct{}
+	// failed is set when an edit's commit step failed: the engine then
+	// holds unpublished state the log may lack. Writer goroutine only.
+	failed bool
 
-	// Cluster-mode state. seq counts successfully applied edits — the
-	// replication sequence replicas ack and the owner persists as EditSeq;
-	// epoch is the ownership-lease fencing token the design serves under;
-	// fenced flips once a higher epoch is observed (a fenced design stops
-	// accepting edits and is demoted to a replica). ship, set before the
-	// design is published, synchronously replicates one applied edit; its
-	// error fails the edit's acknowledgement.
-	seq      atomic.Uint64
+	// Cluster-mode state. epoch is the ownership-lease fencing token the
+	// design serves under; fenced flips once a higher epoch is observed (a
+	// fenced design stops accepting edits and is demoted to a replica).
+	// ship, set before the design is published, synchronously replicates
+	// one applied edit under its seq; its error fails the edit's
+	// acknowledgement.
 	epoch    atomic.Uint64
 	fenced   atomic.Bool
 	demoting atomic.Bool // guards the once-only demotion of a fenced owner
@@ -73,13 +86,12 @@ type editReq struct {
 
 type editResult struct {
 	rep *incsta.Report
-	seq uint64 // replication seq assigned to an applied edit (0 if none)
 	err error
 }
 
 // newDesign starts the single-writer loop. log and store are both nil for an
 // in-memory design; with a store, the caller has already persisted the
-// initial snapshot and opened the log.
+// initial snapshot and opened the log at the engine's seq.
 func newDesign(name string, eng *incsta.Engine, log *wal.Log, store *Store, queueDepth int) *design {
 	if queueDepth <= 0 {
 		queueDepth = defaultEditQueueDepth
@@ -90,8 +102,7 @@ func newDesign(name string, eng *incsta.Engine, log *wal.Log, store *Store, queu
 		log:   log,
 		store: store,
 		reqs:  make(chan editReq, queueDepth),
-		snaps: make(chan chan error, 1),
-		caps:  make(chan chan *designSnapshot, 1),
+		calls: make(chan func(), 1),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -101,6 +112,10 @@ func newDesign(name string, eng *incsta.Engine, log *wal.Log, store *Store, queu
 	}
 	return d
 }
+
+// seq is the number of accepted edits the design's published state
+// includes: its served version − 1.
+func (d *design) seq() uint64 { return d.eng.Snapshot().Version() - 1 }
 
 // serve is the design's single-writer loop. On quit it drains edits already
 // queued (their HTTP handlers are waiting on replies), persists a final
@@ -114,10 +129,8 @@ func (d *design) serve() {
 			return
 		case req := <-d.reqs:
 			req.reply <- d.applyOne(req.ed)
-		case errc := <-d.snaps:
-			errc <- d.persist()
-		case c := <-d.caps:
-			c <- d.captureLocked()
+		case fn := <-d.calls:
+			fn()
 		}
 	}
 }
@@ -130,22 +143,23 @@ func (d *design) drainAndPersist() {
 		case req := <-d.reqs:
 			req.reply <- d.applyOne(req.ed)
 		default:
-			if d.store != nil {
-				if err := d.persist(); err != nil {
-					mPersistErrors.Inc()
-				}
+			if err := d.persist(); err != nil && !errors.Is(err, errFailStopped) {
+				mPersistErrors.Inc()
 			}
 			return
 		}
 	}
 }
 
-// applyOne logs (durably) then applies one edit; in cluster mode a
-// successful apply bumps the replication seq and ships the edit to the
-// design's replicas before acknowledging. A ship failure is reported
-// alongside the (already applied) report — the caller decides how hard to
-// fail the acknowledgement.
+// applyOne applies one edit, logs it durably if the engine accepted it,
+// publishes it, and in cluster mode ships it to the design's replicas under
+// its seq before acknowledging. A ship failure is reported alongside the
+// (already applied and logged) report — the caller decides how hard to fail
+// the acknowledgement.
 func (d *design) applyOne(ed incsta.Edit) editResult {
+	if d.failed {
+		return editResult{err: errFailStopped}
+	}
 	var payload []byte
 	if d.log != nil || d.ship != nil {
 		var err error
@@ -153,47 +167,55 @@ func (d *design) applyOne(ed incsta.Edit) editResult {
 			return editResult{err: fmt.Errorf("server: encode edit: %w", err)}
 		}
 	}
+	var commit func([]incsta.EditResult) error
 	if d.log != nil {
-		if _, err := d.log.Append(payload); err != nil {
-			// The edit never reached stable storage: refuse to apply it, or an
-			// acknowledged state transition could vanish on restart.
-			return editResult{err: fmt.Errorf("server: wal append: %w", err)}
-		}
+		commit = logCommit(d.log, payload)
 	}
-	rep, err := d.eng.ApplyEdit(ed)
+	res, err := d.eng.ApplyBatch([]incsta.Edit{ed}, commit)
 	if err != nil {
-		return editResult{rep: rep, err: err}
+		d.failed = true
+		return editResult{err: fmt.Errorf("%w: %v", errInDoubt, err)}
 	}
-	seq := d.seq.Add(1)
+	rep := res[0].Report
+	if res[0].Err != nil {
+		return editResult{err: res[0].Err}
+	}
 	if d.ship != nil {
-		if err := d.ship(seq, payload); err != nil {
-			return editResult{rep: rep, seq: seq, err: err}
+		if err := d.ship(rep.Version-1, payload); err != nil {
+			return editResult{rep: rep, err: err}
 		}
 	}
-	return editResult{rep: rep, seq: seq}
+	return editResult{rep: rep}
+}
+
+// logCommit is the commit step of a one-edit batch on a durable copy: it
+// appends the accepted edit to lg and requires the record's seq to be the
+// copy's new seq, its new version − 1.
+func logCommit(lg *wal.Log, payload []byte) func([]incsta.EditResult) error {
+	return func(res []incsta.EditResult) error {
+		seq, err := lg.Append(payload)
+		if err != nil {
+			return fmt.Errorf("wal append: %w", err)
+		}
+		if want := res[0].Report.Version - 1; seq != want {
+			return fmt.Errorf("wal appended seq %d, the copy is at seq %d", seq, want)
+		}
+		return nil
+	}
 }
 
 // persist folds the current engine state into a durable snapshot and
 // truncates the replayed log. Runs on the writer goroutine, so the state and
-// the WAL high-water mark are coherent by construction.
+// its seq are coherent by construction.
 func (d *design) persist() error {
 	if d.store == nil {
 		return nil
 	}
-	var seq uint64
-	if d.log != nil {
-		seq = d.log.LastSeq()
-	}
-	snap := snapshotOf(d.name, d.eng, seq)
-	snap.EditSeq = d.seq.Load()
-	snap.Epoch = d.epoch.Load()
-	if err := d.store.saveSnapshot(snap); err != nil {
+	snap, err := d.captureLocked()
+	if err != nil {
 		return err
 	}
-	if d.log != nil {
-		return d.log.TruncateAll()
-	}
-	return nil
+	return d.store.checkpoint(ownerSub, snap, d.log)
 }
 
 // snapshotLoop periodically checkpoints the design so the WAL stays short
@@ -206,85 +228,88 @@ func (d *design) snapshotLoop(interval time.Duration) {
 		case <-d.quit:
 			return
 		case <-t.C:
-			if err := d.checkpoint(); err != nil && !errors.Is(err, ErrDesignClosed) {
+			if err := d.checkpoint(); err != nil && !errors.Is(err, ErrDesignClosed) && !errors.Is(err, errFailStopped) {
 				mPersistErrors.Inc()
 			}
 		}
 	}
 }
 
-// checkpoint asks the writer loop to persist a snapshot and waits for it.
-func (d *design) checkpoint() error {
-	errc := make(chan error, 1)
+// onWriter runs fn on the writer goroutine and waits for it to finish.
+// Fails, without running fn, once the design is closed.
+func (d *design) onWriter(fn func()) error {
+	ran := make(chan struct{})
 	select {
-	case d.snaps <- errc:
+	case d.calls <- func() { fn(); close(ran) }:
 	case <-d.quit:
 		return ErrDesignClosed
 	}
 	select {
-	case err := <-errc:
-		return err
+	case <-ran:
+		return nil
 	case <-d.done:
 		return ErrDesignClosed
 	}
 }
 
-// captureLocked snapshots the design state with a coherent replication seq
-// and epoch. Runs on the writer goroutine.
-func (d *design) captureLocked() *designSnapshot {
-	var walSeq uint64
-	if d.log != nil {
-		walSeq = d.log.LastSeq()
+// checkpoint asks the writer loop to persist a snapshot and waits for it.
+func (d *design) checkpoint() error {
+	err := ErrDesignClosed
+	if werr := d.onWriter(func() { err = d.persist() }); werr != nil {
+		return werr
 	}
-	snap := snapshotOf(d.name, d.eng, walSeq)
-	snap.EditSeq = d.seq.Load()
+	return err
+}
+
+// captureLocked snapshots the design state with its seq and epoch. Runs on
+// the writer goroutine. A failed design holds state its log may lack, so
+// it has no snapshot to give.
+func (d *design) captureLocked() (*designSnapshot, error) {
+	if d.failed {
+		return nil, errFailStopped
+	}
+	snap := snapshotOf(d.name, d.eng)
 	snap.Epoch = d.epoch.Load()
-	return snap
+	return snap, nil
 }
 
 // capture asks the writer loop for a coherent (state, seq, epoch) snapshot
-// — what a full replicate ship carries. Fails once the design is closed.
+// — what a full replicate ship carries. Fails once the design is closed or
+// failed.
 func (d *design) capture() (*designSnapshot, error) {
-	c := make(chan *designSnapshot, 1)
-	select {
-	case d.caps <- c:
-	case <-d.quit:
-		return nil, ErrDesignClosed
+	var snap *designSnapshot
+	err := ErrDesignClosed
+	if werr := d.onWriter(func() { snap, err = d.captureLocked() }); werr != nil {
+		return nil, werr
 	}
-	select {
-	case snap := <-c:
-		return snap, nil
-	case <-d.done:
-		return nil, ErrDesignClosed
-	}
+	return snap, err
 }
 
-// submit queues one edit and waits for its report and the replication seq
-// the writer assigned it. A full queue rejects immediately with
-// ErrOverloaded; cancellation of ctx abandons the wait (the edit may still
-// apply); a closed design returns ErrDesignClosed.
-func (d *design) submit(ctx context.Context, ed incsta.Edit) (*incsta.Report, uint64, error) {
+// submit queues one edit and waits for its report. A full queue rejects
+// immediately with ErrOverloaded; cancellation of ctx abandons the wait (the
+// edit may still apply); a closed design returns ErrDesignClosed.
+func (d *design) submit(ctx context.Context, ed incsta.Edit) (*incsta.Report, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	select {
 	case <-d.quit:
-		return nil, 0, ErrDesignClosed
+		return nil, ErrDesignClosed
 	default:
 	}
 	req := editReq{ed: ed, reply: make(chan editResult, 1)}
 	select {
 	case d.reqs <- req:
 	default:
-		return nil, 0, ErrOverloaded
+		return nil, ErrOverloaded
 	}
 	select {
 	case res := <-req.reply:
-		return res.rep, res.seq, res.err
+		return res.rep, res.err
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return nil, ctx.Err()
 	case <-d.done:
-		return nil, 0, ErrDesignClosed
+		return nil, ErrDesignClosed
 	}
 }
 

@@ -68,7 +68,8 @@ func mustEqualSlacks(t *testing.T, want, got map[string]float64) {
 }
 
 // c17Edits is the edit burst the recovery tests drive: every op kind, plus
-// one rejected edit that must replay as the same rejection.
+// one rejected edit that must leave no trace in the WAL or the recovered
+// state.
 func c17Edits() []EditRequest {
 	return []EditRequest{
 		{Op: "resize", Gate: "U1", Strength: 4},
@@ -76,6 +77,15 @@ func c17Edits() []EditRequest {
 		{Op: "swap", Gate: "U2", Cell: "NAND2x4"},
 		{Op: "resize", Gate: "NOPE", Strength: 2}, // rejected: unknown gate
 		{Op: "resize", Gate: "U5", Strength: 8},
+	}
+}
+
+// engineEdit is the engine's Edit record of a wire edit request, the form
+// the edit handler logs.
+func engineEdit(ed EditRequest) incsta.Edit {
+	return incsta.Edit{
+		Op: ed.Op, Gate: ed.Gate, Strength: ed.Strength,
+		Cell: ed.Cell, Net: ed.Net, Slew: ed.SlewPs * 1e-12, Tree: ed.Tree,
 	}
 }
 
@@ -114,7 +124,7 @@ func TestRecoverAfterHardCrash(t *testing.T) {
 	// The recovered design keeps serving edits, and sequence numbers resume
 	// past the replayed tail.
 	d, _ := s2.design("c17")
-	if _, _, err := d.submit(context.Background(), incsta.Edit{Op: incsta.OpResize, Gate: "U6", Strength: 4}); err != nil {
+	if _, err := d.submit(context.Background(), incsta.Edit{Op: incsta.OpResize, Gate: "U6", Strength: 4}); err != nil {
 		t.Fatalf("edit after recovery: %v", err)
 	}
 }
@@ -129,18 +139,28 @@ func TestKillAfterEveryRecordRecovery(t *testing.T) {
 	loadC17(t, ts)
 	d, _ := s.design("c17")
 
-	// Drive the edits, recording the WAL byte offset after each record.
+	// Drive the edits, recording the WAL byte offset after each record. An
+	// accepted edit leaves exactly one record; a rejected edit leaves none.
 	offsets := []int64{0}
+	var accepted []EditRequest
 	for i, ed := range c17Edits() {
 		code, raw := postEdit(t, ts, "c17", ed)
-		if code != http.StatusOK && code != http.StatusBadRequest {
+		sz := d.log.Size()
+		switch code {
+		case http.StatusOK:
+			accepted = append(accepted, ed)
+			if sz <= offsets[len(offsets)-1] || d.log.LastSeq() != uint64(len(accepted)) {
+				t.Fatalf("accepted edit %d left WAL size %d at seq %d, want one record more (seq %d)",
+					i, sz, d.log.LastSeq(), len(accepted))
+			}
+			offsets = append(offsets, sz)
+		case http.StatusBadRequest:
+			if sz != offsets[len(offsets)-1] {
+				t.Fatalf("rejected edit %d wrote %d WAL bytes", i, sz-offsets[len(offsets)-1])
+			}
+		default:
 			t.Fatalf("edit %d: status %d: %s", i, code, raw)
 		}
-		sz := d.log.Size()
-		if sz <= offsets[len(offsets)-1] {
-			t.Fatalf("edit %d (status %d) left no WAL record", i, code)
-		}
-		offsets = append(offsets, sz)
 	}
 	walBytes, err := fs.ReadFile("data/designs/c17/wal.log")
 	if err != nil {
@@ -155,7 +175,6 @@ func TestKillAfterEveryRecordRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := libsynth.File()
-	edits := c17Edits()
 
 	for cut := 0; cut < len(offsets); cut++ {
 		// Torn tails: keep 0, 1, 8 and all-but-one bytes of the next record.
@@ -177,20 +196,14 @@ func TestKillAfterEveryRecordRecovery(t *testing.T) {
 			got := slacksOf(t, s2, "c17")
 
 			// The reference: a fresh engine from the snapshot replaying the
-			// first `cut` edits through the same entry point.
+			// first `cut` accepted edits through the same entry point.
 			ref, err := rebuildEngine(lib, &snap)
 			if err != nil {
 				t.Fatalf("%s: rebuild reference: %v", name, err)
 			}
-			for _, ed := range edits[:cut] {
-				_, err := ref.ApplyEdit(incsta.Edit{
-					Op: ed.Op, Gate: ed.Gate, Strength: ed.Strength,
-					Cell: ed.Cell, Net: ed.Net, Slew: ed.SlewPs * 1e-12, Tree: ed.Tree,
-				})
-				if err != nil {
-					if _, isRej := err.(*incsta.EditError); !isRej {
-						t.Fatalf("%s: reference replay: %v", name, err)
-					}
+			for _, ed := range accepted[:cut] {
+				if _, err := ref.ApplyEdit(engineEdit(ed)); err != nil {
+					t.Fatalf("%s: reference replay: %v", name, err)
 				}
 			}
 			want, err := ref.Snapshot().EndpointSlacks(500e-12, 3)

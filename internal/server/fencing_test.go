@@ -56,7 +56,7 @@ func TestClusterPromiseFencesEditsAndRecovers(t *testing.T) {
 			return false
 		}
 		_, seq, _ := rep.view()
-		return seq == d.seq.Load()
+		return seq == d.seq()
 	})
 
 	ghostClaim(t, replica, name, 7)

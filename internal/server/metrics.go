@@ -71,9 +71,9 @@ var (
 	mAdmissionRejected = obs.Default().Counter("timingd_admission_rejected_total",
 		"Requests rejected by the concurrent-query admission limiter or a full edit queue.")
 	mRecoveryReplayed = obs.Default().Counter("timingd_recovery_replayed_edits_total",
-		"WAL edits replayed into recovered designs at startup.")
+		"WAL edits replayed into recovered copies, owned or replicated, at startup.")
 	mSnapshotsPersisted = obs.Default().Counter("timingd_snapshots_persisted_total",
-		"Design snapshots persisted (load, periodic checkpoint, graceful drain).")
+		"Snapshots persisted, owned or replicated (load, checkpoint, drain, replica install or compaction).")
 	mPersistErrors = obs.Default().Counter("timingd_persist_errors_total",
 		"Failed snapshot persists (checkpoint or drain).")
 	hSnapshotSeconds = obs.Default().Histogram("timingd_snapshot_seconds",

@@ -115,7 +115,7 @@ func TestEditWaitHonorsClientDisconnect(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := d.submit(ctx, incsta.Edit{Op: incsta.OpResize, Gate: "U1", Strength: 4})
+		_, err := d.submit(ctx, incsta.Edit{Op: incsta.OpResize, Gate: "U1", Strength: 4})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let it enqueue and start waiting

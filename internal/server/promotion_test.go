@@ -185,7 +185,7 @@ func TestClusterOwnerKillPromotion(t *testing.T) {
 			return false
 		}
 		_, seq, _ := rep.view()
-		return seq == d.seq.Load()
+		return seq == d.seq()
 	})
 
 	slacksPath := "/v1/designs/" + name + "/slacks?period_ps=2000&level=3"
@@ -209,7 +209,7 @@ func TestClusterOwnerKillPromotion(t *testing.T) {
 		promoted = d
 		return true
 	})
-	if got := promoted.seq.Load(); got != uint64(len(edits)) {
+	if got := promoted.seq(); got != uint64(len(edits)) {
 		t.Fatalf("promoted at seq %d, want the full acked stream %d", got, len(edits))
 	}
 
@@ -264,7 +264,7 @@ func TestClusterOwnerKillPromotion(t *testing.T) {
 	// Old-epoch traffic against the new owner is fenced with the stable
 	// stale_epoch code — the revived owner cannot overwrite newer state.
 	staleCode, staleRaw := doInternal(t, replica2.url, "/v1/internal/edits", "edits", editsRequest{
-		Design: name, Seq: promoted.seq.Load() + 1, Epoch: 1,
+		Design: name, Seq: promoted.seq() + 1, Epoch: 1,
 		From:    owner.url,
 		Payload: json.RawMessage(`{"op":"resize","gate":"` + gates[0].Name + `","strength":4}`),
 	})
@@ -438,7 +438,7 @@ func TestClusterPromotionDuel(t *testing.T) {
 				return false
 			}
 			_, seq, _ := rep.view()
-			if seq != d.seq.Load() {
+			if seq != d.seq() {
 				return false
 			}
 		}
@@ -555,7 +555,7 @@ func TestClusterPromotionAsymmetricDuel(t *testing.T) {
 				return false
 			}
 			_, seq, _ := rep.view()
-			if seq != d.seq.Load() {
+			if seq != d.seq() {
 				return false
 			}
 		}
@@ -570,7 +570,13 @@ func TestClusterPromotionAsymmetricDuel(t *testing.T) {
 	caught, lagger := others[0], others[1]
 	rep := lagger.s.replica(name)
 	rep.mu.Lock()
-	rep.seq--
+	behind := snapshotOf(name, rep.eng)
+	behind.EditSeq--
+	eng, err := rebuildEngine(libsynth.File(), behind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.eng = eng
 	rep.mu.Unlock()
 	lagger.s.leases.Promise(name, 100)
 

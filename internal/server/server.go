@@ -40,6 +40,7 @@ import (
 type Server struct {
 	lib   *timinglib.File
 	mux   *http.ServeMux
+	reads map[string]readRoute // a design's read routes (designReads)
 	met   *metrics
 	store *Store
 	adm   *admission
@@ -278,12 +279,18 @@ func New(lib *timinglib.File, opts ...Option) *Server {
 	route("GET /v1/designs", s.handleList)
 	route("PUT /v1/designs/{name}", s.handleLoad)
 	route("DELETE /v1/designs/{name}", s.handleDelete)
-	route("GET /v1/designs/{name}", s.admitted(s.handleSummary))
-	route("GET /v1/designs/{name}/gates", s.admitted(s.handleGates))
-	route("GET /v1/designs/{name}/paths", s.admitted(s.handlePaths))
-	route("GET /v1/designs/{name}/slacks", s.admitted(s.handleSlacks))
+	s.reads = s.designReads()
+	for pattern, serve := range s.reads {
+		route(pattern, s.admittedRead(pattern, func(w http.ResponseWriter, r *http.Request) {
+			d, ok := s.design(r.PathValue("name"))
+			if !ok {
+				httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
+				return
+			}
+			serve(w, r, d)
+		}))
+	}
 	route("POST /v1/designs/{name}/edits", s.handleEdit)
-	route("POST /v1/designs/{name}/batch", s.handleBatch)
 	// Cluster routes exist only when a cluster node is attached. The
 	// /v1/internal/ surface is the versioned cluster-internal contract
 	// (API.md "Cluster-internal API"): every request carries the sender's
@@ -374,17 +381,6 @@ func (s *Server) design(name string) (*design, bool) {
 	defer s.mu.Unlock()
 	d, ok := s.designs[name]
 	return d, ok
-}
-
-// clusterSeq is the version an owned design reports in cluster mode
-// (applied-edit seq + 1, continuous across promotion/recovery), or 0 in
-// single-node mode — the sentinel the serve* helpers read as "use the
-// engine's own version".
-func (s *Server) clusterSeq(d *design) uint64 {
-	if s.node == nil {
-		return 0
-	}
-	return d.seq.Load() + 1
 }
 
 // --- request/response shapes ---
@@ -573,7 +569,7 @@ func editStatus(err error) (int, string) {
 	case errors.Is(err, errUnreplicated):
 		// Applied locally, acked by no replica: in doubt, retryable.
 		return http.StatusServiceUnavailable, codePeerUnavailable
-	case errors.Is(err, ErrDesignClosed):
+	case errors.Is(err, ErrDesignClosed), errors.Is(err, errFailStopped):
 		return http.StatusServiceUnavailable, codeUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, codeUnavailable
@@ -621,10 +617,29 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// admitted wraps a query handler with the global admission limiter (weight
-// 1; batches weigh themselves inside handleBatch).
-func (s *Server) admitted(h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
-	if s.adm == nil {
+// readRoute answers one read query about design d.
+type readRoute func(w http.ResponseWriter, r *http.Request, d *design)
+
+// designReads is the table of a design's read routes by mux pattern. The
+// local mux and a replica's serveReplica dispatch through it; every route
+// pins one snapshot of d's engine and reports that snapshot's version.
+func (s *Server) designReads() map[string]readRoute {
+	return map[string]readRoute{
+		"GET /v1/designs/{name}":        s.serveSummary,
+		"GET /v1/designs/{name}/gates":  s.serveGates,
+		"GET /v1/designs/{name}/paths":  s.servePaths,
+		"GET /v1/designs/{name}/slacks": s.serveSlacks,
+		batchRoute:                      s.serveBatch,
+	}
+}
+
+// batchRoute is the one read route that is not admitted at weight 1.
+const batchRoute = "POST /v1/designs/{name}/batch"
+
+// admittedRead wraps a read route with the global admission limiter
+// (weight 1; batches weigh themselves inside serveBatch).
+func (s *Server) admittedRead(pattern string, h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
+	if s.adm == nil || pattern == batchRoute {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -662,13 +677,13 @@ func (s *Server) Recover(ctx context.Context) error {
 			s.node.SetLeaseEpoch(name, li.Epoch)
 		}
 	}
-	escaped, err := s.store.listDesigns()
+	escaped, err := s.store.list(ownerSub)
 	if err != nil {
 		return fmt.Errorf("server: recover: %w", err)
 	}
 	valid := escaped[:0]
 	for _, esc := range escaped {
-		if s.store.hasSnapshot(esc) {
+		if s.store.hasSnapshot(ownerSub, esc) {
 			valid = append(valid, esc)
 		}
 		// else: debris — crash mid-create or mid-delete, never acked
@@ -702,79 +717,161 @@ func (s *Server) Recover(ctx context.Context) error {
 	return nil
 }
 
-// recoverDesign rebuilds one design from its snapshot plus surviving WAL
-// tail. Records the snapshot already includes (seq <= WALSeq) are skipped;
-// the rest are decoded as the log streams them and replayed as one engine
-// batch, which publishes a single snapshot instead of one per record. Edits
-// the original submission rejected replay as the same typed rejection and
-// are skipped identically.
-func (s *Server) recoverDesign(ctx context.Context, escapedName string) error {
-	ctx, span := obs.StartSpan(ctx, "server.recover.design")
+// recoverCopy is the one recovery routine of owner and replica copies. It
+// loads the copy persisted at sub/escaped, rebuilds its engine at the
+// snapshot's seq, and replays the WAL records numbered past that seq as one
+// engine batch, which publishes a single snapshot. One rule holds for both
+// roles: a gap in the record seqs or any rejection is corruption, since
+// only accepted edits are logged. Records at or below the seq were folded
+// into the snapshot by a checkpoint whose truncation did not land; they are
+// skipped. The returned log is open at the engine's seq. An owner snapshot
+// in the legacy format is upgraded instead (upgradeLegacy).
+func (s *Server) recoverCopy(ctx context.Context, sub, escaped string) (*designSnapshot, *incsta.Engine, *wal.Log, error) {
+	ctx, span := obs.StartSpan(ctx, "server.recover.copy", obs.A("subtree", sub))
 	defer span.End()
-	snap, err := s.store.loadSnapshot(escapedName)
+	stored, err := s.store.loadSnapshot(sub, escaped)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
+	snap := &stored.designSnapshot
 	span.SetAttr("design", snap.Name)
 	eng, err := rebuildEngine(s.lib, snap)
 	if err != nil {
-		return fmt.Errorf("rebuild engine: %w", err)
+		return nil, nil, nil, fmt.Errorf("rebuild engine: %w", err)
 	}
+	var lg *wal.Log
+	var replayed int
+	if stored.WALSeq != nil && sub == ownerSub {
+		lg, replayed, err = s.upgradeLegacy(snap, eng, *stored.WALSeq)
+	} else {
+		lg, replayed, err = s.replayTail(sub, snap, eng)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	mRecoveryReplayed.Add(uint64(replayed))
+	span.SetAttr("replayed", replayed)
+	if s.store.cfg.VerifyRecovery {
+		if err := eng.VerifyFull(ctx); err != nil {
+			lg.Close()
+			return nil, nil, nil, fmt.Errorf("recovery verification: %w", err)
+		}
+	}
+	return snap, eng, lg, nil
+}
+
+// replayTail decodes the records past snap's seq as the log streams them,
+// requiring each to follow the last, and applies them to eng as one batch.
+func (s *Server) replayTail(sub string, snap *designSnapshot, eng *incsta.Engine) (*wal.Log, int, error) {
 	var tail []incsta.Edit
-	var seqs []uint64
-	dlog, res, err := s.store.openWAL(snap.Name, func(seq uint64, payload []byte) error {
-		if seq <= snap.WALSeq {
+	lg, _, err := s.store.openWAL(sub, snap.Name, func(seq uint64, payload []byte) error {
+		if seq <= snap.EditSeq {
 			return nil
+		}
+		if want := snap.EditSeq + uint64(len(tail)) + 1; seq != want {
+			return fmt.Errorf("wal record %d: gap, want %d", seq, want)
 		}
 		var ed incsta.Edit
 		if err := json.Unmarshal(payload, &ed); err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
 		tail = append(tail, ed)
-		seqs = append(seqs, seq)
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("open wal: %w", err)
+		return nil, 0, fmt.Errorf("open wal: %w", err)
 	}
-	results, err := eng.ApplyBatch(tail)
+	results, err := eng.ApplyBatch(tail, nil)
+	if err == nil {
+		for i, r := range results {
+			if r.Err != nil {
+				err = fmt.Errorf("wal record %d rejected on replay: %w", snap.EditSeq+uint64(i)+1, r.Err)
+				break
+			}
+		}
+	}
+	if err == nil && len(tail) == 0 && lg.Size() > 0 {
+		// Only folded-in records: drop them, so the next append is the
+		// file's first record and need not follow their numbers.
+		err = lg.TruncateAll()
+	}
 	if err != nil {
-		dlog.Close()
-		return fmt.Errorf("wal replay: %w", err)
+		lg.Close()
+		return nil, 0, fmt.Errorf("wal replay: %w", err)
+	}
+	lg.EnsureSeq(snap.EditSeq)
+	return lg, len(tail), nil
+}
+
+// upgradeLegacy recovers an owner copy written before the WAL logged only
+// accepted edits. That format numbered every record, rejected edits
+// included, and its snapshot carried wal_seq, the last record it included,
+// beside edit_seq, the accepted edits it included. The records past wal_seq
+// are replayed once under those old rules (rejections skipped, any other
+// error fatal) on the engine rebuilt at edit_seq, and the copy is
+// checkpointed at once in the current format: first a legacy snapshot
+// whose wal_seq covers the whole log, so no crash can replay a record
+// twice, then install, which replaces log and snapshot. The old rules live
+// only here. (A single-node legacy edit_seq restarted at 0 with the server,
+// like the version it served; the upgraded seq counts on from it.)
+func (s *Server) upgradeLegacy(snap *designSnapshot, eng *incsta.Engine, walSeq uint64) (*wal.Log, int, error) {
+	var tail []incsta.Edit
+	lg, _, err := s.store.openWAL(ownerSub, snap.Name, func(seq uint64, payload []byte) error {
+		if seq <= walSeq {
+			return nil
+		}
+		var ed incsta.Edit
+		if err := json.Unmarshal(payload, &ed); err != nil {
+			return fmt.Errorf("legacy wal record %d: %w", seq, err)
+		}
+		tail = append(tail, ed)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("open legacy wal: %w", err)
+	}
+	last := max(lg.LastSeq(), walSeq)
+	lg.Close()
+	results, err := eng.ApplyBatch(tail, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("legacy wal replay: %w", err)
 	}
 	replayed := 0
-	for i, r := range results {
-		if r.Err != nil {
-			var ee *incsta.EditError
-			if errors.As(r.Err, &ee) {
-				continue // rejected originally, rejected again: state unchanged
-			}
-			dlog.Close()
-			return fmt.Errorf("wal record %d: %w", seqs[i], r.Err)
+	for _, r := range results {
+		var ee *incsta.EditError
+		switch {
+		case r.Err == nil:
+			replayed++
+		case !errors.As(r.Err, &ee):
+			return nil, 0, fmt.Errorf("legacy wal replay: %w", r.Err)
 		}
-		replayed++
 	}
-	// After a compaction the file is empty; keep appends past the snapshot's
-	// high-water mark so sequence numbers never recycle.
-	dlog.EnsureSeq(snap.WALSeq)
-	mRecoveryReplayed.Add(uint64(replayed))
-	span.SetAttr("replayed", replayed)
-	span.SetAttr("wal_records", res.Records)
-	if s.store.cfg.VerifyRecovery {
-		if err := eng.VerifyFull(ctx); err != nil {
-			dlog.Close()
-			return fmt.Errorf("recovery verification: %w", err)
-		}
+	up := snapshotOf(snap.Name, eng)
+	up.Epoch = snap.Epoch
+	if err := s.store.saveSnapshot(ownerSub, up.Name, storedSnapshot{designSnapshot: *up, WALSeq: &last}); err != nil {
+		return nil, 0, fmt.Errorf("upgrade: %w", err)
+	}
+	if lg, err = s.store.install(ownerSub, up); err != nil {
+		return nil, 0, fmt.Errorf("upgrade: %w", err)
+	}
+	s.log().Info("upgraded legacy design snapshot", "design", up.Name, "seq", up.EditSeq)
+	return lg, replayed, nil
+}
+
+// recoverDesign rebuilds one owned design through recoverCopy. Any failure
+// fails the whole recovery: an owner copy holds acknowledged edits.
+func (s *Server) recoverDesign(ctx context.Context, escapedName string) error {
+	snap, eng, dlog, err := s.recoverCopy(ctx, ownerSub, escapedName)
+	if err != nil {
+		return err
 	}
 	d := newDesign(snap.Name, eng, dlog, s.store, s.queueDepth)
 	if s.node != nil {
-		// The replication seq is the snapshot's acked count plus the edits
-		// the WAL replay just re-applied; the epoch is whatever the design
-		// last owned under. In a multi-node cluster the recovered design
-		// starts FENCED: this node may have been superseded while it was
-		// down, so it must win a fresh election (promotion loop) before it
-		// serves as owner again. A single-member cluster has nobody to ask.
-		d.seq.Store(snap.EditSeq + uint64(replayed))
+		// The epoch is whatever the design last owned under. In a
+		// multi-node cluster the recovered design starts FENCED: this node
+		// may have been superseded while it was down, so it must win a fresh
+		// election (promotion loop) before it serves as owner again. A
+		// single-member cluster has nobody to ask.
 		d.epoch.Store(snap.Epoch)
 		s.attachCluster(d)
 		if len(s.node.Members()) > 1 {
@@ -938,14 +1035,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 	var dlog *wal.Log
 	if s.store != nil {
-		snap := snapshotOf(name, eng, 0)
+		snap := snapshotOf(name, eng)
 		snap.Epoch = epoch
-		if err := s.store.saveSnapshot(snap); err != nil {
+		if dlog, err = s.store.install(ownerSub, snap); err != nil {
 			httpErrorDetail(w, http.StatusInternalServerError, codeInternal, "persisting design", err)
-			return
-		}
-		if dlog, _, err = s.store.openWAL(name, nil); err != nil {
-			httpErrorDetail(w, http.StatusInternalServerError, codeInternal, "opening design wal", err)
 			return
 		}
 	}
@@ -988,7 +1081,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Drop the persisted state too, or a restart would resurrect the
 		// design the client just deleted.
-		if err := s.store.removeDesign(name); err != nil {
+		if err := s.store.remove(ownerSub, name); err != nil {
 			httpErrorDetail(w, http.StatusInternalServerError, codeInternal, "removing persisted design", err)
 			return
 		}
@@ -1051,19 +1144,10 @@ func cornerOf(snap *incsta.Snapshot, name string) (int, error) {
 	return ci, nil
 }
 
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.design(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
-		return
-	}
-	s.serveSummary(w, r, d, d.eng.Snapshot(), s.clusterSeq(d))
-}
-
-// serveSummary answers a summary query from a pinned snapshot. seq != 0
-// overrides the reported version — a replica reports the shipped sequence
-// number, not the version its rebuilt engine happens to count.
-func (s *Server) serveSummary(w http.ResponseWriter, r *http.Request, d *design, snap *incsta.Snapshot, seq uint64) {
+// serveSummary answers a summary query from one pinned snapshot, at that
+// snapshot's version.
+func (s *Server) serveSummary(w http.ResponseWriter, r *http.Request, d *design) {
+	snap := d.eng.Snapshot()
 	ci, err := cornerOf(snap, r.URL.Query().Get("corner"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
@@ -1073,9 +1157,6 @@ func (s *Server) serveSummary(w http.ResponseWriter, r *http.Request, d *design,
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 		return
-	}
-	if seq != 0 {
-		sum.Version = seq
 	}
 	writeJSON(w, http.StatusOK, sum)
 }
@@ -1088,16 +1169,7 @@ type GateInfo struct {
 	Output string `json:"output"`
 }
 
-func (s *Server) handleGates(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.design(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
-		return
-	}
-	s.serveGates(w, d)
-}
-
-func (s *Server) serveGates(w http.ResponseWriter, d *design) {
+func (s *Server) serveGates(w http.ResponseWriter, _ *http.Request, d *design) {
 	nl, _ := d.eng.CopyDesign()
 	gates := make([]GateInfo, len(nl.Gates))
 	for i, g := range nl.Gates {
@@ -1128,16 +1200,8 @@ func (s *Server) pathsAt(d *design, snap *incsta.Snapshot, ci, k int) (map[strin
 	return map[string]any{"version": snap.Version(), "paths": out}, nil
 }
 
-func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.design(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
-		return
-	}
-	s.servePaths(w, r, d, d.eng.Snapshot(), s.clusterSeq(d))
-}
-
-func (s *Server) servePaths(w http.ResponseWriter, r *http.Request, d *design, snap *incsta.Snapshot, seq uint64) {
+func (s *Server) servePaths(w http.ResponseWriter, r *http.Request, d *design) {
+	snap := d.eng.Snapshot()
 	k := 5
 	if q := r.URL.Query().Get("k"); q != "" {
 		var err error
@@ -1155,9 +1219,6 @@ func (s *Server) servePaths(w http.ResponseWriter, r *http.Request, d *design, s
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, codeInternal, "paths: %v", err)
 		return
-	}
-	if seq != 0 {
-		payload["version"] = seq
 	}
 	writeJSON(w, http.StatusOK, payload)
 }
@@ -1185,16 +1246,8 @@ func slacksAt(snap *incsta.Snapshot, ci int, periodPs float64, level int) (map[s
 	}, nil
 }
 
-func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.design(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
-		return
-	}
-	s.serveSlacks(w, r, d.eng.Snapshot(), s.clusterSeq(d))
-}
-
-func (s *Server) serveSlacks(w http.ResponseWriter, r *http.Request, snap *incsta.Snapshot, seq uint64) {
+func (s *Server) serveSlacks(w http.ResponseWriter, r *http.Request, d *design) {
+	snap := d.eng.Snapshot()
 	periodPs, err := strconv.ParseFloat(r.URL.Query().Get("period_ps"), 64)
 	if err != nil || periodPs <= 0 {
 		httpError(w, http.StatusBadRequest, codeInvalidRequest, "period_ps must be a positive number")
@@ -1216,9 +1269,6 @@ func (s *Server) serveSlacks(w http.ResponseWriter, r *http.Request, snap *incst
 	if err != nil {
 		httpError(w, http.StatusBadRequest, codeInvalidRequest, "slacks: %v", err)
 		return
-	}
-	if seq != 0 {
-		payload["version"] = seq
 	}
 	writeJSON(w, http.StatusOK, payload)
 }
@@ -1264,7 +1314,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		Op: req.Op, Gate: req.Gate, Strength: req.Strength, Cell: req.Cell,
 		Net: req.Net, Slew: req.SlewPs * 1e-12, Tree: req.Tree,
 	}
-	rep, seq, err := d.submit(r.Context(), ed)
+	rep, err := d.submit(r.Context(), ed)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			mAdmissionRejected.Inc()
@@ -1276,18 +1326,11 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, code, "%v", err)
 		return
 	}
-	// The version this edit produced, not whatever the design reads by the
-	// time the reply is written: concurrent edits never report the same one.
-	version := rep.Version
-	if s.node != nil {
-		// Cluster mode reports the edit's replication seq + 1: identical to
-		// the engine version on an owner that never restarted, and — unlike
-		// the raw engine count, which resets on a rebuild — continuous
-		// across promotion and recovery.
-		version = seq + 1
-	}
+	// The version this edit produced (its seq + 1), not whatever the design
+	// reads by the time the reply is written: concurrent edits never report
+	// the same one.
 	writeJSON(w, http.StatusOK, EditResponse{
-		Version: version, Op: rep.Op,
+		Version: rep.Version, Op: rep.Op,
 		Seeded: rep.Seeded, Reevaluated: rep.Reevaluated,
 		Cut: rep.Cut, Endpoints: rep.Endpoints,
 	})
@@ -1330,18 +1373,11 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.design(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no design %q", r.PathValue("name"))
-		return
-	}
-	// One snapshot serves the whole batch: every answer reflects the same
-	// edit version, however many edits land while we iterate.
-	s.serveBatch(w, r, d, d.eng.Snapshot(), s.clusterSeq(d))
-}
-
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, d *design, snap *incsta.Snapshot, seq uint64) {
+// serveBatch answers every query of a batch from one pinned snapshot: every
+// answer reflects the same edit version, however many edits land while it
+// iterates.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, d *design) {
+	snap := d.eng.Snapshot()
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpErrorDetail(w, http.StatusBadRequest, codeInvalidRequest, "bad batch request", err)
@@ -1368,11 +1404,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, d *design, s
 	}
 	defer s.adm.release(weight)
 
-	version := snap.Version()
-	if seq != 0 {
-		version = seq
-	}
-	resp := BatchResponse{Version: version, Results: make([]BatchResult, len(req.Queries))}
+	resp := BatchResponse{Version: snap.Version(), Results: make([]BatchResult, len(req.Queries))}
 	for i, q := range req.Queries {
 		// A disconnected or timed-out client gets no response; stop burning
 		// CPU on the remaining queries.
